@@ -126,21 +126,32 @@ def find_witness(
 
     mode "corner" scans the K*M computational-basis pairs; "search" adds
     `samples` Haar-like random product pairs on top of those; "explicit" tests
-    exactly the supplied (e_a, f_b).  Among the full-rank candidates the one
-    with the largest smallest singular value wins (ties broken by scan order),
-    which keeps the downstream filter as well-conditioned as the state allows.
-    Returns None when no candidate reaches rank N.
+    exactly the supplied (e_a, f_b).  A candidate has rank N when every
+    singular value of its Hermitized sandwich exceeds n * eps * sigma_max (or
+    `tol`).  Among the full-rank candidates the one with the largest smallest
+    singular value wins (ties broken by scan order), which keeps the downstream
+    filter as well-conditioned as the state allows.  Returns None when no
+    candidate reaches rank N.
+
+    The sandwiches of all candidates are stacked and their singular values
+    taken in one batched SVD; the random pairs come from one block of draws
+    laid out so that candidates and choice are bit-identical to drawing and
+    testing them one at a time.
     """
     k, m, n = state.dims.as_tuple()
-    if mode == "corner":
+    if mode in ("corner", "search"):
         candidates = [(_unit(k, i), _unit(m, j)) for i in range(k) for j in range(m)]
-    elif mode == "search":
-        candidates = [(_unit(k, i), _unit(m, j)) for i in range(k) for j in range(m)]
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(97,)))
-        for _ in range(samples):
-            ea = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-            fb = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-            candidates.append((ea / np.linalg.norm(ea), fb / np.linalg.norm(fb)))
+        if mode == "search":
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(97,)))
+            # Columns [Re e_a | Im e_a | Re f_b | Im f_b] replay the stream of
+            # four per-sample draws.  Each vector is normalized on its own:
+            # a vectorized norm(axis=1) rounds differently in the last bit.
+            draws = rng.standard_normal((samples, 2 * (k + m)))
+            eas = draws[:, :k] + 1j * draws[:, k : 2 * k]
+            fbs = draws[:, 2 * k : 2 * k + m] + 1j * draws[:, 2 * k + m :]
+            candidates += [
+                (ea / np.linalg.norm(ea), fb / np.linalg.norm(fb)) for ea, fb in zip(eas, fbs)
+            ]
     elif mode == "explicit":
         if e_a is None or f_b is None:
             raise ValueError("explicit mode needs both e_a and f_b")
@@ -148,19 +159,19 @@ def find_witness(
     else:
         raise ValueError(f"unknown witness mode {mode!r}")
 
-    best: tuple[float, np.ndarray, np.ndarray] | None = None
-    for ea, fb in candidates:
-        s = sandwich_ab(state, ea, fb)
-        sv = np.linalg.svd(hermitize(s), compute_uv=False)
-        cutoff = n * np.finfo(float).eps * float(sv[0]) if tol is None else tol
-        if int(np.count_nonzero(sv > cutoff)) != n:
-            continue
-        smin = float(sv[-1])
-        if best is None or smin > best[0]:
-            best = (smin, ea, fb)
-    if best is None:
+    # Singular values, not eigenvalues: an indefinite input state can give an
+    # indefinite sandwich, whose rank and conditioning are set by |lambda|.
+    sv = np.linalg.svd(
+        np.stack([hermitize(sandwich_ab(state, ea, fb)) for ea, fb in candidates]),
+        compute_uv=False,
+    )
+    cutoff = n * np.finfo(float).eps * sv[:, :1] if tol is None else tol
+    full_rank = np.all(sv > cutoff, axis=1)
+    if not full_rank.any():
         return None
-    return ProductWitness(e_a=best[1], f_b=best[2], sandwich_rank=n)
+    best = int(np.argmax(np.where(full_rank, sv[:, -1], -np.inf)))
+    ea, fb = candidates[best]
+    return ProductWitness(e_a=ea, f_b=fb, sandwich_rank=n)
 
 
 def _is_basis_vector(v: np.ndarray) -> int | None:

@@ -292,12 +292,43 @@ def decompose(
     form, _diag = extract_canonical(rotated, tol=tol)
     form = replace(form, local_u_a=u_a, local_u_b=u_b)
     ensemble = ensemble_from_form(form, tol=tol, seed=seed)
-    residual, ok = verify_ensemble(state, ensemble, tol=tol)
+    # The public check gives the verdict; the failed invariants are listed
+    # again only on the refusal path, for the message.
+    _, ok = verify_ensemble(state, ensemble, tol=tol)
     if not ok:
-        raise CertificationFailure(
-            f"candidate ensemble failed reconstruction (residual {residual:.3e} > tol {tol:.1e})"
-        )
+        _, failures = _certification_failures(state, ensemble, tol)
+        raise CertificationFailure(f"candidate ensemble failed certification: {'; '.join(failures)}")
     return ensemble
+
+
+def _certification_failures(
+    state: TripartiteState, ensemble: SeparableEnsemble, tol: float
+) -> tuple[float, list[str]]:
+    """Reconstruction residual, and one line per failed ensemble invariant.
+
+    Each line names the invariant with its value and the bound it broke.
+    """
+    if state.dims != ensemble.dims:
+        raise DimensionMismatch(
+            f"state dims {state.dims.as_tuple()} != ensemble dims {ensemble.dims.as_tuple()}"
+        )
+    recon = ensemble.reconstruct()
+    residual = float(np.linalg.norm(state.rho - recon) / np.linalg.norm(state.rho))
+    failures = []
+    if not residual <= tol:
+        failures.append(f"reconstruction residual {residual:.3e} > tol {tol:.1e}")
+    weight_gap = abs(ensemble.total_weight() - 1.0)
+    if weight_gap > TRACE_TOL:
+        failures.append(f"|sum p - 1| {weight_gap:.3e} > TRACE_TOL {TRACE_TOL:.1e}")
+    weights = np.array([t.p for t in ensemble.terms])
+    if not np.all(weights > 0):
+        failures.append(f"min p {weights.min():.3e} <= 0")
+    gaps = np.array(
+        [abs(np.linalg.norm(v) - 1.0) for t in ensemble.terms for v in (t.vec_a, t.vec_b, t.vec_c)]
+    )
+    if np.any(gaps > VEC_TOL):
+        failures.append(f"vector-norm gap {gaps[gaps > VEC_TOL].max():.3e} > VEC_TOL {VEC_TOL:.1e}")
+    return residual, failures
 
 
 def verify_ensemble(
@@ -309,19 +340,5 @@ def verify_ensemble(
     requires the ensemble invariants: strictly positive weights summing to one,
     and unit product vectors.  Mismatched dimensions raise DimensionMismatch.
     """
-    if state.dims != ensemble.dims:
-        raise DimensionMismatch(
-            f"state dims {state.dims.as_tuple()} != ensemble dims {ensemble.dims.as_tuple()}"
-        )
-    recon = ensemble.reconstruct()
-    residual = float(np.linalg.norm(state.rho - recon) / np.linalg.norm(state.rho))
-    ok = residual <= tol
-    if abs(ensemble.total_weight() - 1.0) > TRACE_TOL:
-        ok = False
-    for t in ensemble.terms:
-        if not t.p > 0:
-            ok = False
-        for v in (t.vec_a, t.vec_b, t.vec_c):
-            if abs(np.linalg.norm(v) - 1.0) > VEC_TOL:
-                ok = False
-    return residual, ok
+    residual, failures = _certification_failures(state, ensemble, tol)
+    return residual, not failures

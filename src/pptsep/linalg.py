@@ -216,8 +216,11 @@ def sandwich_ab(state: TripartiteState, e_a: np.ndarray, f_b: np.ndarray) -> np.
         )
     if abs(np.linalg.norm(e_a) - 1.0) > VEC_TOL or abs(np.linalg.norm(f_b) - 1.0) > VEC_TOL:
         raise NormalizationError("witness vectors must be unit vectors")
-    t = state.rho.reshape(k, m, n, k, m, n)
-    return np.einsum("i,j,ijnklm,k,l->nm", e_a.conj(), f_b.conj(), t, e_a, f_b)
+    # Two BLAS contractions against the product vector w = e_a (x) f_b: the
+    # first sums the row-side (A, B) index, the second the column-side one.
+    w = np.outer(e_a, f_b).ravel()
+    row = (w.conj() @ state.rho.reshape(k * m, -1)).reshape(n, k * m, n)
+    return row.transpose(0, 2, 1) @ w
 
 
 def conjugate_local(

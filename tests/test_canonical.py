@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from pptsep import (
+    DimensionMismatch,
     GenSpec,
+    NormalizationError,
     NotPptError,
     ProductWitness,
     RankMismatch,
@@ -34,6 +36,38 @@ def unit(dim, idx):
     e = np.zeros(dim, dtype=complex)
     e[idx] = 1.0
     return e
+
+
+def reference_find_witness(state, mode, samples=256, seed=0):
+    """find_witness as one draw, one sandwich and one SVD per candidate."""
+    k, m, n = state.dims.as_tuple()
+    candidates = [(unit(k, i), unit(m, j)) for i in range(k) for j in range(m)]
+    if mode == "search":
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(97,)))
+        for _ in range(samples):
+            ea = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+            fb = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            candidates.append((ea / np.linalg.norm(ea), fb / np.linalg.norm(fb)))
+    best = None
+    for ea, fb in candidates:
+        s = np.einsum(
+            "i,j,ijnklm,k,l->nm",
+            ea.conj(), fb.conj(), state.rho.reshape(k, m, n, k, m, n), ea, fb,
+        )
+        sv = np.linalg.svd((s + s.conj().T) / 2, compute_uv=False)
+        cutoff = n * np.finfo(float).eps * float(sv[0])
+        if int(np.count_nonzero(sv > cutoff)) != n:
+            continue
+        if best is None or sv[-1] > best[0]:
+            best = (sv[-1], ea, fb)
+    return None if best is None else best[1:]
+
+
+def diagonal_qubit_state():
+    """|000><000|/2 + |111><111|/2: no computational pair has a full-rank sandwich."""
+    rho = np.zeros((8, 8), dtype=complex)
+    rho[0, 0] = rho[7, 7] = 0.5
+    return TripartiteState(TripartiteDims(2, 2, 2), rho)
 
 
 class TestFindWitness:
@@ -72,18 +106,63 @@ class TestFindWitness:
 
     def test_search_mode_beats_corner_mode_when_needed(self):
         """A state separable along the diagonal has no computational witness pair."""
-        dims = TripartiteDims(2, 2, 2)
-        rho = np.zeros((8, 8), dtype=complex)
-        rho[0, 0] = 0.5   # |0,0,0>
-        rho[7, 7] = 0.5   # |1,1,1>
-        state = TripartiteState(dims, rho)
+        state = diagonal_qubit_state()
         assert find_witness(state, "corner") is None
         w = find_witness(state, "search", samples=64, seed=0)
         assert w is not None and w.sandwich_rank == 2
 
+    def test_absolute_tol_replaces_relative_cutoff(self):
+        """The only full-rank pair has singular values (0.75, 0.25); rank N needs both above tol."""
+        state = qubit_corner_state(0.25)
+        w = find_witness(state, "corner", tol=0.2)
+        np.testing.assert_array_equal(w.e_a, unit(2, 0))
+        assert find_witness(state, "corner", tol=0.3) is None
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             find_witness(qubit_corner_state(0.1), "guess")
+
+    def test_explicit_wrong_length_vector(self):
+        state = identity_corner_state(TripartiteDims(3, 3, 2))
+        with pytest.raises(DimensionMismatch):
+            find_witness(state, "explicit", e_a=unit(2, 0), f_b=unit(3, 0))
+
+    def test_explicit_non_unit_vector(self):
+        state = identity_corner_state(TripartiteDims(3, 3, 2))
+        with pytest.raises(NormalizationError):
+            find_witness(state, "explicit", e_a=unit(3, 0), f_b=2 * unit(3, 0))
+
+    @pytest.mark.parametrize("mode", ["corner", "search"])
+    @pytest.mark.parametrize(
+        "case",
+        [(2, 2, 2, 0), (2, 2, 2, 1), (3, 3, 4, 0), (3, 3, 4, 3), (4, 4, 8, 1), (2, 3, 5, 2),
+         (2, 3, 5, 4), "shifts-literal", "diagonal", "indefinite"],
+    )
+    def test_matches_per_candidate_reference(self, case, mode):
+        """Stacked search picks bit-for-bit the pair a per-candidate loop picks."""
+        if case == "shifts-literal":
+            state, seed = shifts_complement_state("literal"), 5
+        elif case == "indefinite":
+            # The best-conditioned corner sandwich, diag(0.5, -0.3), is indefinite:
+            # ranking by eigenvalues instead of singular values would skip it.
+            diag = [0.5, -0.3, 0.2, 0.05, 0.3, 0.01, 0.14, 0.1]
+            state, seed = TripartiteState(TripartiteDims(2, 2, 2), np.diag(diag)), 0
+        elif case == "diagonal":
+            state, seed = diagonal_qubit_state(), 0
+        else:
+            *dims, seed = case
+            state, _ = gen_canonical_state(GenSpec(dims=TripartiteDims(*dims), seed=seed))
+        want = reference_find_witness(state, mode, seed=seed)
+        if case == "diagonal":
+            # No basis pair works here, so in search mode a random draw must win.
+            assert (want is None) == (mode == "corner")
+        got = find_witness(state, mode, seed=seed)
+        if want is None:
+            assert got is None
+            return
+        assert got is not None and got.sandwich_rank == state.dims.n
+        assert got.e_a.tobytes() == want[0].tobytes()
+        assert got.f_b.tobytes() == want[1].tobytes()
 
 
 class TestRotateToCorner:

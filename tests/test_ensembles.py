@@ -1,9 +1,12 @@
 """Tests for simultaneous diagonalization, decomposition, and ensemble certification."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from pptsep import (
+    CertificationFailure,
     CommutatorViolation,
     DimensionMismatch,
     EnsembleTerm,
@@ -25,6 +28,7 @@ from pptsep import (
     simultaneous_diagonalize,
     verify_ensemble,
 )
+from pptsep import ensembles
 
 
 def offdiag_norm(u, g):
@@ -237,6 +241,27 @@ class TestVerifyEnsemble:
         )
         _, ok = verify_ensemble(state, bad)
         assert not ok
+
+    def test_failure_names_only_the_broken_invariants(self, monkeypatch):
+        """Weights scaled by 1 + 1e-9 keep the residual inside tol; it must not be blamed."""
+        real = ensembles.ensemble_from_form
+
+        def skewed(form, tol=1e-8, seed=0):
+            ens = real(form, tol=tol, seed=seed)
+            return replace(ens, terms=tuple(replace(t, p=t.p * (1 + 1e-9)) for t in ens.terms))
+
+        monkeypatch.setattr(ensembles, "ensemble_from_form", skewed)
+        state, _ = gen_canonical_state(GenSpec(dims=TripartiteDims(3, 3, 4), seed=1))
+        try:
+            ens = decompose(state)
+        except CertificationFailure as err:
+            message = str(err)
+            assert "residual" not in message
+            assert "|sum p - 1|" in message and "TRACE_TOL" in message
+            assert "min p" not in message and "vector-norm" not in message
+        else:
+            residual, ok = verify_ensemble(state, ens)
+            assert ok and residual <= 1e-8
 
     def test_dimension_mismatch(self):
         state, _ = gen_canonical_state(GenSpec(dims=TripartiteDims(2, 2, 2), seed=11))

@@ -173,19 +173,21 @@ class TestSandwich:
         out = sandwich_ab(state, e0, e0)
         np.testing.assert_allclose(out, [[0.5, 0.3], [0.3, 0.5]], atol=1e-15)
 
-    def test_matches_block_of_rotated_state(self):
+    @pytest.mark.parametrize("dims", [(3, 3, 2), (2, 3, 5)])
+    def test_matches_block_of_rotated_state(self, dims):
         """<e,f|rho|e,f> equals the far-corner block after rotating (e,f) there."""
         from pptsep import ProductWitness, rotate_to_corner
 
-        dims = TripartiteDims(3, 3, 2)
+        dims = TripartiteDims(*dims)
+        k, m, n = dims.as_tuple()
         state = random_density(dims, seed=6)
         rng = np.random.default_rng(7)
-        e_a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        f_b = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        e_a = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        f_b = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         e_a, f_b = e_a / np.linalg.norm(e_a), f_b / np.linalg.norm(f_b)
         direct = sandwich_ab(state, e_a, f_b)
-        rotated, _, _ = rotate_to_corner(state, ProductWitness(e_a, f_b, 2))
-        np.testing.assert_allclose(block(rotated, 8, 8), direct, atol=1e-12)
+        rotated, _, _ = rotate_to_corner(state, ProductWitness(e_a, f_b, n))
+        np.testing.assert_allclose(block(rotated, k * m - 1, k * m - 1), direct, atol=1e-12)
 
     def test_requires_unit_vectors(self):
         state = qubit_corner_state(0.1)
