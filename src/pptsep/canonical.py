@@ -30,11 +30,12 @@ from .errors import (
 from .linalg import (
     TripartiteDims,
     TripartiteState,
+    _conjugate_blocks,
+    _rank_above_cutoff,
     block,
     conjugate_local,
     dagger,
     hermitize,
-    kron,
     numeric_rank,
     psd_inv_sqrt,
     sandwich_ab,
@@ -222,38 +223,35 @@ def rotate_to_corner(
 
 
 def filter_corner(state: TripartiteState, f: np.ndarray) -> np.ndarray:
-    """Apply the corner filter: (I (x) I (x) F^{-1/2}) rho (I (x) I (x) F^{-1/2})."""
-    km = state.dims.k * state.dims.m
-    lift = kron(np.eye(km, dtype=complex), psd_inv_sqrt(f))
-    return hermitize(lift @ state.rho @ lift)
+    """Apply the corner filter: (I (x) I (x) F^{-1/2}) rho (I (x) I (x) F^{-1/2}).
+
+    The lift is block diagonal, so it is applied as s @ X @ s to each N x N
+    block X of the state, with s = F^{-1/2}: O(N d²) work for d = KMN, and the
+    KMN x KMN lift is never formed.
+    """
+    k, m, n = state.dims.as_tuple()
+    s = psd_inv_sqrt(f)
+    return hermitize(_conjugate_blocks(state.rho, k * m, n, s, s))
 
 
 def _kernel_residual(rho_f: np.ndarray, form: CanonicalForm) -> float:
     """Worst normalized |rho_f psi| over the designated kernel vectors.
 
-    For each A-side generator GA_v and basis vector |e> of C^N the vector
-    |K-1, v>|e> - |K-1, M-1> GA_v|e> must be annihilated by rho_f, and
-    likewise |u, M-1>|e> - |K-1, M-1> GB_u|e> for each B-side generator.
+    For each generator G sitting at block slot s (GA_v at (K-1, v), GB_u at
+    (u, M-1)) and each basis vector |e> of C^N, the vector
+    psi = |s>|e> - |K-1, M-1> G|e> must be annihilated by rho_f.  rho_f psi is
+    the slot's column block of rho_f minus the corner's column block times G,
+    and |psi|² = 1 + |G e|², so no psi is formed.
     """
     k, m, n = form.dims.as_tuple()
-    d = k * m * n
     corner = (k * m - 1) * n
+    slots = [((k - 1) * m + v) * n for v in range(m - 1)] + [
+        (u * m + (m - 1)) * n for u in range(k - 1)
+    ]
     worst = 0.0
-    slots = [((k - 1) * m + v) * n for v in range(m - 1)]
-    for slot, g in zip(slots, form.a_list):
-        psi = np.zeros((d, n), dtype=complex)
-        psi[slot : slot + n] = np.eye(n)
-        psi[corner : corner + n] = -g
-        img = rho_f @ psi
-        norms = np.linalg.norm(img, axis=0) / np.linalg.norm(psi, axis=0)
-        worst = max(worst, float(norms.max()))
-    slots = [(u * m + (m - 1)) * n for u in range(k - 1)]
-    for slot, g in zip(slots, form.b_list):
-        psi = np.zeros((d, n), dtype=complex)
-        psi[slot : slot + n] = np.eye(n)
-        psi[corner : corner + n] = -g
-        img = rho_f @ psi
-        norms = np.linalg.norm(img, axis=0) / np.linalg.norm(psi, axis=0)
+    for slot, g in zip(slots, form.generators()):
+        img = rho_f[:, slot : slot + n] - rho_f[:, corner : corner + n] @ g
+        norms = np.linalg.norm(img, axis=0) / np.sqrt(1.0 + np.linalg.norm(g, axis=0) ** 2)
         worst = max(worst, float(norms.max()))
     return worst
 
@@ -269,42 +267,46 @@ def _commutator_max(gens: list[np.ndarray]) -> float:
     return worst
 
 
-def extract_canonical(
-    state: TripartiteState, tol: float = 1e-8
-) -> tuple[CanonicalForm, ExtractionDiagnostics]:
-    """Extract the canonical form of a rank-N PPT state with invertible corner.
+def _admit(state: TripartiteState) -> None:
+    """The input checks of the construction, from one set of eigendecompositions.
 
-    Checks, in order: global rank == N (RankMismatch), corner rank == N
-    (RankMismatch), PPT across all masks (NotPptError).  After filtering, the
-    generators are read from the last block row and the structural claim is
-    validated globally: the filtered state must match T†T within tol
-    (relative), and the generator family must be normal and pairwise commuting
-    within tol scaled by the squared generator norm; otherwise
-    StructureViolation is raised.  Returns the form together with diagnostics.
+    ppt_report decomposes the state and its A, B and C partial transposes
+    once.  The rank is read off the unmasked spectrum with numeric_rank's rule
+    (the singular values of a Hermitian matrix are |lambda|), so no SVD runs.
+    Raises RankMismatch unless the rank is N, then NotPptError unless every
+    mask passes.  Both verdicts are invariant under local unitaries, so they
+    may be taken before or after a rotation to the corner.
     """
-    k, m, n = state.dims.as_tuple()
-    km = k * m
-    state_rank = numeric_rank(state.rho)
+    n = state.dims.n
+    report = ppt_report(state)
+    state_rank = _rank_above_cutoff(np.abs(report.spectrum), state.side)
     if state_rank != n:
         raise RankMismatch(f"state rank {state_rank} != N = {n}; canonical form does not apply")
+    if not report.overall_ppt:
+        failing = [e.mask.label for e in report.entries if not e.passed]
+        raise NotPptError(f"state is not PPT (failing masks: {', '.join(failing)})")
+
+
+def _extract_admitted(
+    state: TripartiteState, tol: float
+) -> tuple[CanonicalForm, ExtractionDiagnostics]:
+    """extract_canonical for a state that has already passed _admit."""
+    k, m, n = state.dims.as_tuple()
+    km = k * m
     f = hermitize(block(state, km - 1, km - 1))
     corner_rank = numeric_rank(f)
     if corner_rank != n:
         raise RankMismatch(
             f"corner block rank {corner_rank} != N = {n}; rotate a full-rank witness first"
         )
-    report = ppt_report(state)
-    if not report.overall_ppt:
-        failing = [e.mask.label for e in report.entries if not e.passed]
-        raise NotPptError(f"state is not PPT (failing masks: {', '.join(failing)})")
 
     rho_f = filter_corner(state, f)
 
-    def fblock(r, c):
-        return rho_f[r * n : (r + 1) * n, c * n : (c + 1) * n].copy()
+    def fblock(mat, r, c):
+        return mat[r * n : (r + 1) * n, c * n : (c + 1) * n].copy()
 
-    a_list = tuple(fblock(km - 1, (k - 1) * m + v) for v in range(m - 1))
-    b_list = tuple(fblock(km - 1, u * m + (m - 1)) for u in range(k - 1))
+    a_list = tuple(fblock(rho_f, km - 1, (k - 1) * m + v) for v in range(m - 1))
+    b_list = tuple(fblock(rho_f, km - 1, u * m + (m - 1)) for u in range(k - 1))
     form = CanonicalForm(
         dims=state.dims,
         a_list=a_list,
@@ -315,19 +317,18 @@ def extract_canonical(
     )
 
     t = form.t_matrix()
-    recon = float(np.linalg.norm(rho_f - dagger(t) @ t) / np.linalg.norm(rho_f))
+    residual = rho_f - dagger(t) @ t
+    recon = float(np.linalg.norm(residual) / np.linalg.norm(rho_f))
     gens = form.generators()
     comm = _commutator_max(gens)
     gscale = max(1.0, max(float(np.linalg.norm(g)) for g in gens)) ** 2
-
     d_idx = (k - 2) * m + (m - 2)
-    mono = form.monomial(k - 2, m - 2)
-    delta = float(np.linalg.norm(fblock(d_idx, d_idx) - dagger(mono) @ mono))
+    delta = float(np.linalg.norm(fblock(residual, d_idx, d_idx)))
 
     kernel = _kernel_residual(rho_f, form)
     ev = np.linalg.eigvalsh(f)
     diagnostics = ExtractionDiagnostics(
-        state_rank=state_rank,
+        state_rank=n,
         corner_rank=corner_rank,
         reconstruction_residual=recon,
         commutator_max=comm,
@@ -341,6 +342,26 @@ def extract_canonical(
             f"(reconstruction residual {recon:.3e}, commutator max {comm:.3e})"
         )
     return form, diagnostics
+
+
+def extract_canonical(
+    state: TripartiteState, tol: float = 1e-8
+) -> tuple[CanonicalForm, ExtractionDiagnostics]:
+    """Extract the canonical form of a rank-N PPT state with invertible corner.
+
+    Checks, in order: global rank == N (RankMismatch), PPT across all masks
+    (NotPptError), both read from one set of four Hermitian
+    eigendecompositions, then corner rank == N (RankMismatch).  After
+    filtering, the generators are read from the last block row and the
+    structural claim is validated globally: the filtered state must match
+    T†T within tol (relative), and the generator family must be normal and
+    pairwise commuting within tol scaled by the squared generator norm;
+    otherwise StructureViolation is raised.  The reconstruction residual and
+    the block-consistency gap delta_norm both come from the one residual
+    matrix rho_f - T†T.  Returns the form together with diagnostics.
+    """
+    _admit(state)
+    return _extract_admitted(state, tol)
 
 
 def verify_kernel_vectors(state: TripartiteState, form: CanonicalForm) -> float:

@@ -25,14 +25,14 @@ from .errors import (
     DegeneracyUnresolved,
     DimensionMismatch,
     NoWitness,
-    RankMismatch,
 )
 from .canonical import (
     CanonicalForm,
-    extract_canonical,
+    _admit,
+    _commutator_max,
+    _extract_admitted,
     find_witness,
     rotate_to_corner,
-    _commutator_max,
 )
 from .linalg import (
     TRACE_TOL,
@@ -41,9 +41,13 @@ from .linalg import (
     TripartiteState,
     dagger,
     hermitize,
-    numeric_rank,
     psd_sqrt,
 )
+
+# decompose no longer calls these two, but benchmarks/spans.py traces calls
+# through both module attributes, so they stay importable from here.
+from .canonical import extract_canonical  # noqa: F401
+from .linalg import numeric_rank  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -72,13 +76,12 @@ class SeparableEnsemble:
     terms: tuple[EnsembleTerm, ...]
 
     def reconstruct(self) -> np.ndarray:
-        """Sum the terms back into a density matrix (deterministic term order)."""
-        d = self.dims.total
-        out = np.zeros((d, d), dtype=complex)
-        for t in self.terms:
-            w = np.kron(np.kron(t.vec_a, t.vec_b), t.vec_c)
-            out += t.p * np.outer(w, w.conj())
-        return out
+        """Sum the terms back into a density matrix: (W * p) W† for the product vectors W."""
+        w = np.array(
+            [np.kron(np.kron(t.vec_a, t.vec_b), t.vec_c) for t in self.terms], dtype=complex
+        ).reshape(-1, self.dims.total)
+        p = np.array([t.p for t in self.terms], dtype=float)
+        return (w.T * p) @ w.conj()
 
     def total_weight(self) -> float:
         return float(sum(t.p for t in self.terms))
@@ -103,22 +106,6 @@ def _phase_fix(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def _split_groups(order_vals: np.ndarray, groups: list[list[int]], tol: float) -> list[list[int]]:
-    """Split index groups wherever consecutive sorted values gap by more than tol."""
-    out: list[list[int]] = []
-    for grp in groups:
-        vals = order_vals[grp]
-        idx = np.argsort(vals, kind="stable")
-        current = [grp[idx[0]]]
-        for prev, cur in zip(idx, idx[1:]):
-            if vals[cur] - vals[prev] > tol:
-                out.append(current)
-                current = []
-            current.append(grp[cur])
-        out.append(current)
-    return out
-
-
 def simultaneous_diagonalize(
     generators: list[np.ndarray],
     tol: float = 1e-8,
@@ -132,9 +119,9 @@ def simultaneous_diagonalize(
     Strategy: diagonalize a random real-coefficient combination of the
     Hermitian and anti-Hermitian parts of the family (one eigh call), accept if
     every generator is diagonal in that basis, and retry with fresh
-    coefficients a few times if not.  If retries run out, fall back to
-    deterministic sequential refinement: diagonalize each Hermitian part inside
-    the still-degenerate index groups, splitting groups at eigenvalue gaps.
+    coefficients up to max_retries times if not.  A random combination
+    separates distinct joint eigenvalues almost surely; the retries cover the
+    rare draw that nearly merges two of them.
 
     refine_by, if given, is a Hermitian matrix used to fix the remaining basis
     freedom: columns with identical joint eigenvalues are rotated to
@@ -143,8 +130,8 @@ def simultaneous_diagonalize(
     caller pick the one that also diagonalizes the compressed filter.)
 
     Raises CommutatorViolation if the family is not normal/commuting within
-    tol (scaled by squared generator norm), DegeneracyUnresolved if no basis
-    reaches the target residual.
+    tol (scaled by squared generator norm), DegeneracyUnresolved (with the best
+    residual and the bound) if no attempt reaches the target residual.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -179,30 +166,12 @@ def simultaneous_diagonalize(
         if off <= accept:
             break
 
-    u = best_u
     if best_off > accept:
-        # Deterministic fallback: refine degenerate groups one Hermitian part
-        # at a time, splitting wherever the compressed spectrum has a gap.
-        u = np.eye(n, dtype=complex)
-        groups = [list(range(n))]
-        for p in parts:
-            pscale = max(1.0, float(np.linalg.norm(p)))
-            vals = np.empty(n)
-            for grp in groups:
-                if len(grp) == 1:
-                    sub = u[:, grp[0]]
-                    vals[grp[0]] = float((dagger(sub) @ p @ sub).real)
-                    continue
-                sub = u[:, grp]
-                w, v = np.linalg.eigh(hermitize(dagger(sub) @ p @ sub))
-                u[:, grp] = sub @ v
-                vals[grp] = w
-            groups = _split_groups(vals, groups, tol * pscale)
-        off = _offdiag_max(u, gens)
-        if off > accept:
-            raise DegeneracyUnresolved(
-                f"no common eigenbasis reached residual {accept:.1e} (best {off:.3e})"
-            )
+        raise DegeneracyUnresolved(
+            f"no common eigenbasis reached residual {accept:.1e} in {max_retries} attempts "
+            f"(best {best_off:.3e})"
+        )
+    u = best_u
 
     if refine_by is not None:
         refine = hermitize(np.asarray(refine_by, dtype=complex))
@@ -275,21 +244,30 @@ def decompose(
 ) -> SeparableEnsemble:
     """Full pipeline: witness, rotation, canonical form, certified product ensemble.
 
-    Raises RankMismatch if the global rank differs from N (the construction
-    does not apply), NoWitness if no full-rank sandwich is found, and
-    propagates NotPptError / StructureViolation from the extraction.  The
-    returned ensemble has been verified by reconstruction at tol;
-    CertificationFailure is raised (and the ensemble discarded) otherwise.
+    The input is checked once, before any witness is sought: one set of four
+    Hermitian eigendecompositions gives its rank and its PPT verdict, both
+    invariant under the local rotation that follows.  Refusals come in this
+    order:
+
+    1. RankMismatch: the global rank differs from N (the construction does
+       not apply);
+    2. NotPptError: some partial transpose has a negative eigenvalue;
+    3. NoWitness: no product pair with a full-rank sandwich block was found;
+    4. StructureViolation from the extraction on the rotated state (or, at
+       the rank cutoff's edge, RankMismatch for its corner block), and
+       CommutatorViolation / DegeneracyUnresolved from the joint
+       diagonalization;
+    5. CertificationFailure: the candidate ensemble failed its reconstruction
+       check at tol and was discarded.
+
+    The returned ensemble has been verified by reconstruction at tol.
     """
-    n = state.dims.n
-    state_rank = numeric_rank(state.rho)
-    if state_rank != n:
-        raise RankMismatch(f"state rank {state_rank} != N = {n}; decomposition does not apply")
+    _admit(state)
     w = find_witness(state, witness, samples=samples, seed=seed, e_a=e_a, f_b=f_b)
     if w is None:
         raise NoWitness("no product witness with a full-rank sandwich block was found")
     rotated, u_a, u_b = rotate_to_corner(state, w)
-    form, _diag = extract_canonical(rotated, tol=tol)
+    form, _diag = _extract_admitted(rotated, tol)
     form = replace(form, local_u_a=u_a, local_u_b=u_b)
     ensemble = ensemble_from_form(form, tol=tol, seed=seed)
     # The public check gives the verdict; the failed invariants are listed

@@ -223,19 +223,54 @@ def sandwich_ab(state: TripartiteState, e_a: np.ndarray, f_b: np.ndarray) -> np.
     return row.transpose(0, 2, 1) @ w
 
 
+def _conjugate_blocks(rho: np.ndarray, km: int, n: int, left, right) -> np.ndarray:
+    """left @ X @ right for every N x N block X of the KM x KM block grid of rho."""
+    blocks = rho.reshape(km, n, km, n).transpose(0, 2, 1, 3)
+    return (left @ blocks @ right).transpose(0, 2, 1, 3).reshape(km * n, km * n)
+
+
 def conjugate_local(
     state: TripartiteState,
     u_a: np.ndarray | None = None,
     u_b: np.ndarray | None = None,
     u_c: np.ndarray | None = None,
 ) -> TripartiteState:
-    """Apply (U_A ⊗ U_B ⊗ U_C) rho (·)†, identity for any factor left as None."""
+    """Apply (U_A ⊗ U_B ⊗ U_C) rho (·)†, identity for any factor left as None.
+
+    The KMN x KMN operator is never formed.  U_A ⊗ U_B acts as one KM x KM
+    product on the row (A, B) index of the (KM, N, KM, N) view of rho, and
+    again on the conjugate transpose for the column side; U_C acts as a batched
+    N x N conjugation of every block.  That is O(KM d²) + O(N d²) work for
+    d = KMN, against O(d³) for the dense product; a factor left as None
+    costs no product at all.
+    """
     k, m, n = state.dims.as_tuple()
-    u_a = np.eye(k, dtype=complex) if u_a is None else np.asarray(u_a, dtype=complex)
-    u_b = np.eye(m, dtype=complex) if u_b is None else np.asarray(u_b, dtype=complex)
-    u_c = np.eye(n, dtype=complex) if u_c is None else np.asarray(u_c, dtype=complex)
-    w = kron(kron(u_a, u_b), u_c)
-    return TripartiteState(state.dims, hermitize(w @ state.rho @ dagger(w)))
+    km, d = k * m, state.side
+    rho = state.rho
+    if u_a is not None or u_b is not None:
+        u_a = np.eye(k, dtype=complex) if u_a is None else u_a
+        u_b = np.eye(m, dtype=complex) if u_b is None else u_b
+        u_ab = kron(u_a, u_b)
+        left = (u_ab @ rho.reshape(km, -1)).reshape(d, d)
+        rho = dagger((u_ab @ dagger(left).reshape(km, -1)).reshape(d, d))
+    if u_c is not None:
+        u_c = np.asarray(u_c, dtype=complex)
+        rho = _conjugate_blocks(rho, km, n, u_c, dagger(u_c))
+    return TripartiteState(state.dims, hermitize(rho))
+
+
+def _rank_above_cutoff(sv: np.ndarray, order: int, tol: float | None = None) -> int:
+    """Count of singular values above tol, by default order * eps * sigma_max.
+
+    The one rank rule of the package: numeric_rank applies it to an SVD, and
+    the admission gate of the canonical form to |eigenvalues| of a Hermitian
+    matrix, which are its singular values.
+    """
+    if sv.size == 0:
+        return 0
+    if tol is None:
+        tol = order * np.finfo(float).eps * float(sv.max())
+    return int(np.count_nonzero(sv > tol))
 
 
 def numeric_rank(x: np.ndarray, tol: float | None = None) -> int:
@@ -245,12 +280,7 @@ def numeric_rank(x: np.ndarray, tol: float | None = None) -> int:
     rank cutoff; pass tol to override with an absolute value.
     """
     x = as_complex_matrix(x, "rank input")
-    sv = np.linalg.svd(x, compute_uv=False)
-    if sv.size == 0:
-        return 0
-    if tol is None:
-        tol = max(x.shape) * np.finfo(float).eps * float(sv[0])
-    return int(np.count_nonzero(sv > tol))
+    return _rank_above_cutoff(np.linalg.svd(x, compute_uv=False), max(x.shape), tol)
 
 
 def _psd_eigh(x: np.ndarray, tol: float | None):

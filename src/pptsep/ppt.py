@@ -9,7 +9,7 @@ the eigenvalues of the {A} mask, and so on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,12 +64,15 @@ class PptReport:
 
     overall_ppt requires positivity of the state itself and of the three
     single-subsystem masks; the remaining masks are determined by those and
-    are reported for completeness.
+    are reported for completeness.  spectrum holds the ascending eigenvalues
+    of the unmasked state, so the rank can be read without a second
+    decomposition; it is left out of to_dict() and of comparisons.
     """
 
     entries: tuple[MaskResult, ...]
     overall_ppt: bool
     tol_used: float
+    spectrum: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def entry(self, mask: SubsystemMask) -> MaskResult:
         for e in self.entries:
@@ -95,15 +98,12 @@ def ppt_report(state: TripartiteState, tol: float | None = None) -> PptReport:
     """
     if tol is None:
         tol = 1e-9 * float(state.rho.trace().real)
-    min_eig: dict[str, float] = {}
-    for mask in ALL_MASKS[:4]:
-        mat = partial_transpose(state, mask)
-        w = np.linalg.eigvalsh(hermitize(mat))
-        min_eig[mask.label] = float(w[0])
+    spectra = [np.linalg.eigvalsh(hermitize(partial_transpose(state, m))) for m in ALL_MASKS[:4]]
+    min_eig = {mask.label: float(w[0]) for mask, w in zip(ALL_MASKS[:4], spectra)}
     for mask in ALL_MASKS[4:]:
         min_eig[mask.label] = min_eig[mask.complement().label]
     entries = tuple(
         MaskResult(mask, min_eig[mask.label], min_eig[mask.label] >= -tol) for mask in ALL_MASKS
     )
     overall = all(e.passed for e in entries[:4])
-    return PptReport(entries, overall, float(tol))
+    return PptReport(entries, overall, float(tol), spectrum=spectra[0])

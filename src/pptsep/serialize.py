@@ -28,13 +28,18 @@ from .linalg import TripartiteDims, TripartiteState
 SCHEMA_VERSION = "1"
 
 
-def matrix_to_json(arr: np.ndarray) -> list:
+def _to_pairs(arr) -> list:
+    """Nested lists with each complex entry as an [re, im] pair of Python floats."""
     a = np.asarray(arr, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in a]
+    return np.stack([a.real, a.imag], -1).tolist()
+
+
+def matrix_to_json(arr: np.ndarray) -> list:
+    return _to_pairs(arr)
 
 
 def vector_to_json(vec: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(vec, dtype=complex)]
+    return _to_pairs(vec)
 
 
 def _pairs_to_complex(obj, name: str) -> np.ndarray:

@@ -23,6 +23,7 @@ from pptsep import (
     haar_unitary,
     identity_corner_state,
     numeric_rank,
+    psd_inv_sqrt,
     psd_sqrt,
     qubit_corner_state,
     rotate_to_corner,
@@ -263,6 +264,21 @@ class TestExtractCanonical:
         state, _ = gen_canonical_state(GenSpec(dims=TripartiteDims(3, 3, 2), seed=8))
         with pytest.raises(StructureViolation):
             extract_canonical(state, tol=1e-16)
+
+    @pytest.mark.parametrize("dims", [(2, 3, 5), (3, 3, 4)])
+    def test_filter_matches_dense_lift(self, dims):
+        """The blockwise filter equals kron(I_KM, F^{-1/2}) rho kron(I_KM, F^{-1/2})."""
+        k, m, n = dims
+        state, truth = gen_canonical_state(GenSpec(dims=TripartiteDims(*dims), seed=3))
+        lift = np.kron(np.eye(k * m), psd_inv_sqrt(truth.f))
+        want = lift @ state.rho @ lift
+        np.testing.assert_allclose(filter_corner(state, truth.f), want, rtol=0, atol=1e-13)
+
+    def test_ppt_checked_before_corner_rank(self, bell_mixture):
+        """Rank N, NPT and a singular corner: the PPT gate refuses before the corner check."""
+        assert numeric_rank(block(bell_mixture, 3, 3)) == 1
+        with pytest.raises(NotPptError, match="A, B"):
+            extract_canonical(bell_mixture)
 
     def test_filtering_roundtrip_reconstructs_state(self):
         dims = TripartiteDims(3, 4, 3)

@@ -103,6 +103,13 @@ class TestDecompose:
         assert doc["error"] == "RankMismatch"
         assert doc["message"]
 
+    def test_npt_state_without_corner_witness_exits_three(self, capsys, tmp_path, bell_mixture):
+        p = tmp_path / "bell.json"
+        save_state(bell_mixture, p)
+        code, doc = run(capsys, "decompose", str(p), "--witness", "corner")
+        assert code == 3
+        assert doc["error"] == "NotPptError"
+
     def test_explicit_witness_requires_both_vectors(self, capsys, ppt_state_file):
         code, doc = run(
             capsys, "decompose", ppt_state_file, "--witness", "explicit", "--ea", "1,0"

@@ -1,5 +1,6 @@
 """Tests for simultaneous diagonalization, decomposition, and ensemble certification."""
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -8,16 +9,19 @@ import pytest
 from pptsep import (
     CertificationFailure,
     CommutatorViolation,
+    DegeneracyUnresolved,
     DimensionMismatch,
     EnsembleTerm,
     GenSpec,
     NoWitness,
+    NotPptError,
     RankMismatch,
     SeparableEnsemble,
     TripartiteDims,
     TripartiteState,
     conjugate_local,
     decompose,
+    find_witness,
     gen_canonical_state,
     gen_commuting_family,
     haar_unitary,
@@ -91,6 +95,21 @@ class TestSimultaneousDiagonalize:
         with pytest.raises(ValueError):
             simultaneous_diagonalize([])
 
+    def test_unresolved_after_the_last_retry(self, monkeypatch):
+        """When no attempt reaches the bound, the error names the best residual and the bound."""
+        calls = []
+
+        def never_diagonal(u, gens):
+            calls.append(1)
+            return 0.5 + len(calls)
+
+        monkeypatch.setattr(ensembles, "_offdiag_max", never_diagonal)
+        g = np.diag([0.1, 0.2, 0.3]).astype(complex)  # norm < 1: the bound is tol itself
+        with pytest.raises(DegeneracyUnresolved) as err:
+            simultaneous_diagonalize([g], tol=1e-8)
+        assert "residual 1.0e-08 in 8 attempts (best 1.500e+00)" in str(err.value)
+        assert len(calls) == 8
+
     def test_degenerate_family_refined_by_filter(self):
         """With zero generators the refine hook hands the basis choice to F."""
         f = np.array([[0.5, 0.3], [0.3, 0.5]])
@@ -141,6 +160,37 @@ class TestDecomposeExamples:
         ens = decompose(state, witness="search", seed=0)
         residual, ok = verify_ensemble(state, ens, tol=1e-10)
         assert ok
+
+    def test_npt_state_refused_before_the_witness_search(self, bell_mixture):
+        """Rank N and NPT with no corner witness: NotPptError, not NoWitness, in every mode."""
+        assert find_witness(bell_mixture, "corner") is None
+        for mode in ("corner", "search"):
+            with pytest.raises(NotPptError):
+                decompose(bell_mixture, witness=mode)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{}, {"witness": "explicit", "e_a": [0, 0, 1], "f_b": [0, 0, 1]}],
+        ids=["search", "explicit"],
+    )
+    def test_one_set_of_spectra_per_decomposition(self, monkeypatch, kwargs):
+        """decompose runs 4 eigvalsh and no SVD or eigh on KMN x KMN matrices."""
+        state, _ = gen_canonical_state(GenSpec(dims=TripartiteDims(3, 3, 4), seed=2))
+        side = state.side
+        counts = Counter()
+
+        def counting(name, fn):
+            def wrapper(a, *args, **kw):
+                if np.shape(a)[-2:] == (side, side):
+                    counts[name] += 1
+                return fn(a, *args, **kw)
+
+            return wrapper
+
+        for name in ("eigvalsh", "eigh", "svd"):
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        decompose(state, **kwargs)
+        assert counts == {"eigvalsh": 4}
 
 
 class TestDecomposeRandomStates:
@@ -262,6 +312,18 @@ class TestVerifyEnsemble:
         else:
             residual, ok = verify_ensemble(state, ens)
             assert ok and residual <= 1e-8
+
+    def test_reconstruct_matches_per_term_sum(self):
+        state, _ = gen_canonical_state(GenSpec(dims=TripartiteDims(2, 3, 5), seed=12))
+        ens = decompose(state)
+        want = sum(
+            t.p * np.outer(w, w.conj())
+            for t in ens.terms
+            for w in [np.kron(np.kron(t.vec_a, t.vec_b), t.vec_c)]
+        )
+        np.testing.assert_allclose(ens.reconstruct(), want, rtol=0, atol=1e-15)
+        empty = SeparableEnsemble(dims=ens.dims, terms=())
+        np.testing.assert_array_equal(empty.reconstruct(), np.zeros((30, 30)))
 
     def test_dimension_mismatch(self):
         state, _ = gen_canonical_state(GenSpec(dims=TripartiteDims(2, 2, 2), seed=11))

@@ -289,3 +289,16 @@ class TestConjugateLocal:
         np.testing.assert_allclose(
             np.linalg.eigvalsh(out.rho), np.linalg.eigvalsh(state.rho), atol=1e-12
         )
+
+    @pytest.mark.parametrize("factors", ["abc", "ab", "b", "c", ""])
+    @pytest.mark.parametrize("dims", [(2, 3, 5), (3, 2, 4)])
+    def test_matches_dense_kron_formula(self, dims, factors):
+        """The blockwise kernel equals (U_A ⊗ U_B ⊗ U_C) rho (·)† with the operator formed."""
+        from pptsep import haar_unitary
+
+        state = random_state(TripartiteDims(*dims), seed=13)
+        rng = np.random.default_rng(14)
+        ops = [haar_unitary(d, rng) if f in factors else np.eye(d) for f, d in zip("abc", dims)]
+        w = np.kron(np.kron(ops[0], ops[1]), ops[2])
+        out = conjugate_local(state, **{f"u_{f}": ops["abc".index(f)] for f in factors})
+        np.testing.assert_allclose(out.rho, w @ state.rho @ w.conj().T, rtol=0, atol=1e-13)

@@ -1,5 +1,7 @@
 """Tests for positivity checks and the partial-transpose report."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -130,3 +132,10 @@ class TestPptReport:
         assert [m["mask"] for m in doc["masks"]] == [
             "none", "A", "B", "C", "AB", "AC", "BC", "ABC",
         ]
+
+    def test_spectrum_kept_out_of_dict_and_comparison(self):
+        state = qubit_corner_state(0.3)
+        report = ppt_report(state)
+        np.testing.assert_array_equal(report.spectrum, np.linalg.eigvalsh(state.rho))
+        assert "spectrum" not in report.to_dict()
+        assert report == replace(report, spectrum=None)
