@@ -40,7 +40,11 @@ from .linalg import (
     psd_inv_sqrt,
     sandwich_ab,
 )
-from .ppt import ppt_report
+from .ppt import _ppt_admission
+
+# Not called here; benchmarks/spans.py wraps this module attribute, so it
+# stays importable from here.
+from .ppt import ppt_report  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -268,22 +272,25 @@ def _commutator_max(gens: list[np.ndarray]) -> float:
 
 
 def _admit(state: TripartiteState) -> None:
-    """The input checks of the construction, from one set of eigendecompositions.
+    """The input checks of the construction: one eigendecomposition, three certificates.
 
-    ppt_report decomposes the state and its A, B and C partial transposes
-    once.  The rank is read off the unmasked spectrum with numeric_rank's rule
-    (the singular values of a Hermitian matrix are |lambda|), so no SVD runs.
-    Raises RankMismatch unless the rank is N, then NotPptError unless every
-    mask passes.  Both verdicts are invariant under local unitaries, so they
-    may be taken before or after a rotation to the corner.
+    _ppt_admission decomposes only the unmasked state.  The rank is read off
+    its spectrum with numeric_rank's rule (the singular values of a Hermitian
+    matrix are |lambda|), so no SVD runs, and its smallest eigenvalue gives
+    the verdict for mask "none".  The A, B and C partial transposes need only
+    a yes/no: _psd_verdict settles each by shifted Cholesky factorizations
+    and falls back to eigvalsh only near the threshold, with the same verdict
+    as ppt_report at the same 1e-9 * trace(rho) tolerance.  Raises
+    RankMismatch unless the rank is N, then NotPptError naming every failing
+    mask (as ppt_report would).  Both verdicts are invariant under local
+    unitaries, so they may be taken before or after a rotation to the corner.
     """
     n = state.dims.n
-    report = ppt_report(state)
-    state_rank = _rank_above_cutoff(np.abs(report.spectrum), state.side)
+    spectrum, failing = _ppt_admission(state)
+    state_rank = _rank_above_cutoff(np.abs(spectrum), state.side)
     if state_rank != n:
         raise RankMismatch(f"state rank {state_rank} != N = {n}; canonical form does not apply")
-    if not report.overall_ppt:
-        failing = [e.mask.label for e in report.entries if not e.passed]
+    if failing:
         raise NotPptError(f"state is not PPT (failing masks: {', '.join(failing)})")
 
 
@@ -350,8 +357,9 @@ def extract_canonical(
     """Extract the canonical form of a rank-N PPT state with invertible corner.
 
     Checks, in order: global rank == N (RankMismatch), PPT across all masks
-    (NotPptError), both read from one set of four Hermitian
-    eigendecompositions, then corner rank == N (RankMismatch).  After
+    (NotPptError), both from one Hermitian eigendecomposition of the state
+    and a Cholesky certificate per partial transpose (see _admit), then
+    corner rank == N (RankMismatch).  After
     filtering, the generators are read from the last block row and the
     structural claim is validated globally: the filtered state must match
     T†T within tol (relative), and the generator family must be normal and

@@ -244,10 +244,11 @@ def decompose(
 ) -> SeparableEnsemble:
     """Full pipeline: witness, rotation, canonical form, certified product ensemble.
 
-    The input is checked once, before any witness is sought: one set of four
-    Hermitian eigendecompositions gives its rank and its PPT verdict, both
-    invariant under the local rotation that follows.  Refusals come in this
-    order:
+    The input is checked once, before any witness is sought: one Hermitian
+    eigendecomposition gives its rank, and that spectrum plus a Cholesky
+    certificate per partial transpose give its PPT verdict (see
+    canonical._admit), both invariant under the local rotation that follows.
+    Refusals come in this order:
 
     1. RankMismatch: the global rank differs from N (the construction does
        not apply);

@@ -179,8 +179,13 @@ def partial_transpose(state: TripartiteState, mask: SubsystemMask) -> np.ndarray
     no arithmetic at all: applying the same mask twice returns the original
     matrix bit for bit, and the trace and Hermiticity are preserved exactly.
     """
-    k, m, n = state.dims.as_tuple()
-    t = state.rho.reshape(k, m, n, k, m, n)
+    return _transpose_subsystems(state.rho, state.dims, mask)
+
+
+def _transpose_subsystems(rho: np.ndarray, dims: TripartiteDims, mask: SubsystemMask) -> np.ndarray:
+    """partial_transpose on a bare KMN x KMN matrix."""
+    k, m, n = dims.as_tuple()
+    t = rho.reshape(k, m, n, k, m, n)
     axes = list(range(6))
     if mask.transpose_a:
         axes[0], axes[3] = axes[3], axes[0]
@@ -188,7 +193,7 @@ def partial_transpose(state: TripartiteState, mask: SubsystemMask) -> np.ndarray
         axes[1], axes[4] = axes[4], axes[1]
     if mask.transpose_c:
         axes[2], axes[5] = axes[5], axes[2]
-    side = state.side
+    side = dims.total
     return np.ascontiguousarray(t.transpose(axes)).reshape(side, side)
 
 
@@ -229,6 +234,16 @@ def _conjugate_blocks(rho: np.ndarray, km: int, n: int, left, right) -> np.ndarr
     return (left @ blocks @ right).transpose(0, 2, 1, 3).reshape(km * n, km * n)
 
 
+def _permutation_of(u: np.ndarray) -> np.ndarray | None:
+    """perm with u[i, perm[i]] == 1 if u is exactly a permutation matrix, else None."""
+    ones = u == 1
+    if not np.all(ones | (u == 0)):
+        return None
+    if not (np.all(ones.sum(axis=0) == 1) and np.all(ones.sum(axis=1) == 1)):
+        return None
+    return np.argmax(ones, axis=1)
+
+
 def conjugate_local(
     state: TripartiteState,
     u_a: np.ndarray | None = None,
@@ -242,7 +257,9 @@ def conjugate_local(
     again on the conjugate transpose for the column side; U_C acts as a batched
     N x N conjugation of every block.  That is O(KM d²) + O(N d²) work for
     d = KMN, against O(d³) for the dense product; a factor left as None
-    costs no product at all.
+    costs no product at all.  When U_A ⊗ U_B is exactly a permutation matrix
+    (as for every computational-basis witness), it moves whole blocks, so it
+    is applied as one row and column gather: O(d²) and no arithmetic.
     """
     k, m, n = state.dims.as_tuple()
     km, d = k * m, state.side
@@ -251,8 +268,13 @@ def conjugate_local(
         u_a = np.eye(k, dtype=complex) if u_a is None else u_a
         u_b = np.eye(m, dtype=complex) if u_b is None else u_b
         u_ab = kron(u_a, u_b)
-        left = (u_ab @ rho.reshape(km, -1)).reshape(d, d)
-        rho = dagger((u_ab @ dagger(left).reshape(km, -1)).reshape(d, d))
+        perm = _permutation_of(u_ab)
+        if perm is not None:
+            idx = (perm[:, None] * n + np.arange(n)).ravel()
+            rho = rho[np.ix_(idx, idx)]
+        else:
+            left = (u_ab @ rho.reshape(km, -1)).reshape(d, d)
+            rho = dagger((u_ab @ dagger(left).reshape(km, -1)).reshape(d, d))
     if u_c is not None:
         u_c = np.asarray(u_c, dtype=complex)
         rho = _conjugate_blocks(rho, km, n, u_c, dagger(u_c))

@@ -35,6 +35,23 @@ from pptsep import (
 from pptsep import ensembles
 
 
+def count_full_size_calls(monkeypatch, side):
+    """Count np.linalg eigvalsh, eigh, svd and cholesky calls on side x side inputs."""
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapper(a, *args, **kw):
+            if np.shape(a)[-2:] == (side, side):
+                counts[name] += 1
+            return fn(a, *args, **kw)
+
+        return wrapper
+
+    for name in ("eigvalsh", "eigh", "svd", "cholesky"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    return counts
+
+
 def offdiag_norm(u, g):
     d = u.conj().T @ g @ u
     return np.linalg.norm(d - np.diag(np.diag(d)))
@@ -174,23 +191,41 @@ class TestDecomposeExamples:
         ids=["search", "explicit"],
     )
     def test_one_set_of_spectra_per_decomposition(self, monkeypatch, kwargs):
-        """decompose runs 4 eigvalsh and no SVD or eigh on KMN x KMN matrices."""
+        """decompose runs 1 eigvalsh, 3 Cholesky and no SVD or eigh on KMN x KMN matrices.
+
+        The state's spectrum gives its rank and mask "none"; each of masks A,
+        B and C is certified PSD by one Cholesky factorization.
+        """
         state, _ = gen_canonical_state(GenSpec(dims=TripartiteDims(3, 3, 4), seed=2))
-        side = state.side
-        counts = Counter()
-
-        def counting(name, fn):
-            def wrapper(a, *args, **kw):
-                if np.shape(a)[-2:] == (side, side):
-                    counts[name] += 1
-                return fn(a, *args, **kw)
-
-            return wrapper
-
-        for name in ("eigvalsh", "eigh", "svd"):
-            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        counts = count_full_size_calls(monkeypatch, state.side)
         decompose(state, **kwargs)
-        assert counts == {"eigvalsh": 4}
+        assert counts == {"eigvalsh": 1, "cholesky": 3}
+
+    @pytest.mark.parametrize("mode", ["search", "corner"])
+    def test_npt_refusal_decomposes_only_the_state(self, monkeypatch, bell_mixture, mode):
+        """Masks A and B fail both Cholesky brackets; only the state itself is decomposed."""
+        counts = count_full_size_calls(monkeypatch, bell_mixture.side)
+        with pytest.raises(NotPptError):
+            decompose(bell_mixture, witness=mode)
+        assert counts == {"eigvalsh": 1, "cholesky": 5}
+
+    def test_npt_refusal_keeps_no_matrix_alive(self, bell_mixture):
+        """The refusal's traceback frames hold no KMN x KMN matrix besides the input's.
+
+        A caller that keeps the exception keeps those frames, and the masked
+        partial transposes with them, until the cyclic collector runs.
+        """
+        side = bell_mixture.side
+        with pytest.raises(NotPptError) as info:
+            decompose(bell_mixture)
+        tb = info.value.__traceback__
+        while tb is not None:
+            for value in tb.tb_frame.f_locals.values():
+                items = value if isinstance(value, (list, tuple)) else [value]
+                for item in items:
+                    if isinstance(item, np.ndarray) and item.shape == (side, side):
+                        assert item is bell_mixture.rho
+            tb = tb.tb_next
 
 
 class TestDecomposeRandomStates:

@@ -1,16 +1,21 @@
-"""Tests for positivity checks and the partial-transpose report."""
+"""Tests for positivity checks, the partial-transpose report and the admission gate."""
 
+import json
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import pptsep.ppt as ppt
 from pptsep import (
     ALL_MASKS,
     MASK_A,
     MASK_NONE,
     NotHermitianError,
+    NotPptError,
     TripartiteDims,
+    TripartiteState,
     ghz_vector,
     gen_canonical_state,
     gen_npt_control,
@@ -24,6 +29,7 @@ from pptsep import (
     shifts_complement_state,
     conjugate_local,
 )
+from pptsep.canonical import _admit
 
 
 def ghz_partial_transpose_oracle():
@@ -139,3 +145,155 @@ class TestPptReport:
         np.testing.assert_array_equal(report.spectrum, np.linalg.eigvalsh(state.rho))
         assert "spectrum" not in report.to_dict()
         assert report == replace(report, spectrum=None)
+
+    def test_hermitized_once_matches_per_mask_eigensolves_bit_for_bit(self):
+        """Hermitizing rho before masking gives the per-mask spectra to the last bit."""
+        dims = TripartiteDims(2, 3, 2)
+        rng = np.random.default_rng(21)
+        z = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+        rho = hermitize(z @ z.conj().T)
+        rho = rho / rho.trace() + 1e-12 * (z - z.conj().T)  # anti-Hermitian part within HERM_TOL
+        states = [
+            TripartiteState(dims, rho),
+            gen_npt_control(dims, p=0.3, seed=2),
+            shifts_complement_state(),
+            qubit_corner_state(0.3),
+        ]
+        for state in states:
+            spectra = [
+                np.linalg.eigvalsh(hermitize(partial_transpose(state, m))) for m in ALL_MASKS[:4]
+            ]
+            report = ppt_report(state)
+            assert report.spectrum.tobytes() == spectra[0].tobytes()
+            expected = [float(w[0]) for w in spectra]
+            expected += [expected[ALL_MASKS.index(m.complement())] for m in ALL_MASKS[4:]]
+            tol = 1e-9 * float(state.rho.trace().real)
+            doc = {
+                "overall_ppt": all(lo >= -tol for lo in expected[:4]),
+                "tol_used": tol,
+                "masks": [
+                    {"mask": m.label, "min_eigenvalue": lo, "pass": lo >= -tol}
+                    for m, lo in zip(ALL_MASKS, expected)
+                ],
+            }
+            assert json.dumps(report.to_dict()) == json.dumps(doc)
+
+
+def boundary_state(dims, c, seed=0):
+    """A rank-N state whose A and B partial transposes have smallest eigenvalue -c * 1e-9.
+
+    rho = (|v><v| (x) |0><0| + sum_j |a_j b_j><a_j b_j| (x) |j><j|) / N with
+    v = cos t |00> + sin t |11> and random product vectors a_j b_j (j >= 1).
+    The smallest eigenvalue of rho^(T_A) (and of rho^(T_B), its transpose up to
+    the diagonal C part) is -sin(2t) / (2N), so t is solved for directly; mask C
+    stays PSD.  Haar-random local unitaries then scramble the state.
+    """
+    k, m, n = dims
+    rng = np.random.default_rng(seed)
+    t = 0.5 * np.arcsin(2 * n * c * 1e-9)
+    v = np.zeros(k * m, dtype=complex)
+    v[0], v[m + 1] = np.cos(t), np.sin(t)
+    vectors = [v]
+    for _ in range(n - 1):
+        a = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        b = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        vectors.append(np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b)))
+    rho = sum(
+        np.kron(np.outer(w, w.conj()), np.diag(np.eye(n)[j])) for j, w in enumerate(vectors)
+    ) / n
+    state = TripartiteState(TripartiteDims(*dims), hermitize(rho))
+    return conjugate_local(
+        state, u_a=haar_unitary(k, rng), u_b=haar_unitary(m, rng), u_c=haar_unitary(n, rng)
+    )
+
+
+def gate_outcome(state):
+    """The admission gate's verdict: None, or the NotPptError message."""
+    try:
+        _admit(state)
+    except NotPptError as err:
+        return str(err)
+    return None
+
+
+def report_outcome(state):
+    """What ppt_report says the gate must answer."""
+    failing = [e.mask.label for e in ppt_report(state).entries if not e.passed]
+    return f"state is not PPT (failing masks: {', '.join(failing)})" if failing else None
+
+
+def count_verdict_work(monkeypatch, side):
+    """Count Cholesky outcomes of the verdict helper and full-size eigvalsh calls."""
+    counts = Counter()
+    real_cholesky, real_eigvalsh = ppt._cholesky_succeeds, np.linalg.eigvalsh
+
+    def cholesky(x, shift):
+        ok = real_cholesky(x, shift)
+        counts["cholesky-ok" if ok else "cholesky-fails"] += 1
+        return ok
+
+    def eigvalsh(a, *args, **kw):
+        if np.shape(a) == (side, side):
+            counts["eigvalsh"] += 1
+        return real_eigvalsh(a, *args, **kw)
+
+    monkeypatch.setattr(ppt, "_cholesky_succeeds", cholesky)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    return counts
+
+
+# Work of one gate run per branch of the A and B verdicts (which share one
+# spectrum); mask C is PSD and passes by Cholesky, the state takes one eigvalsh.
+BRANCH_COUNTS = {
+    "cholesky-pass": {"cholesky-ok": 3, "eigvalsh": 1},
+    "eigvalsh": {"cholesky-fails": 2, "cholesky-ok": 3, "eigvalsh": 3},
+    "cholesky-fail": {"cholesky-fails": 4, "cholesky-ok": 1, "eigvalsh": 1},
+}
+
+
+class TestAdmissionVerdicts:
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3, 4)])
+    @pytest.mark.parametrize(
+        "c,branch",
+        [
+            (0.3, "cholesky-pass"),
+            (0.49, "cholesky-pass"),
+            (0.51, "eigvalsh"),
+            (0.9, "eigvalsh"),
+            (0.999, "eigvalsh"),
+            (1.0, "eigvalsh"),
+            (1.001, "eigvalsh"),
+            (1.1, "eigvalsh"),
+            (1.49, "eigvalsh"),
+            (1.51, "cholesky-fail"),
+            (3.0, "cholesky-fail"),
+        ],
+    )
+    def test_gate_matches_report_at_the_threshold(self, monkeypatch, dims, c, branch):
+        """Near lambda_min = -tol the gate refuses exactly when ppt_report fails a mask."""
+        state = boundary_state(dims, c)
+        report = ppt_report(state)
+        assert report.entry(MASK_A).min_eigenvalue == pytest.approx(-c * 1e-9, abs=1e-12)
+        expected = report_outcome(state)
+        if c != 1.0:
+            assert (expected is None) == (c < 1)
+        counts = count_verdict_work(monkeypatch, state.side)
+        assert gate_outcome(state) == expected
+        assert counts == BRANCH_COUNTS[branch]
+
+    def test_large_norm_skips_the_certificate(self, monkeypatch):
+        """Where the Cholesky error bound reaches tol / 2, only eigenvalues decide."""
+        dims = TripartiteDims(2, 2, 2)
+        big = 3e4
+        phi = np.zeros(8, dtype=complex)
+        phi[[0, 7]] = 0.6, 0.8
+        chi = np.zeros(8, dtype=complex)
+        chi[[0, 7]] = 0.8, -0.6
+        rho = big * np.outer(phi, phi) - (big - 1) * np.outer(chi, chi)
+        state = TripartiteState(dims, rho)
+        assert np.linalg.norm(state.rho) > 1e4
+        expected = report_outcome(state)
+        assert expected is not None
+        counts = count_verdict_work(monkeypatch, state.side)
+        assert gate_outcome(state) == expected
+        assert counts == {"eigvalsh": 4}
