@@ -8,6 +8,8 @@ explicit, machine-checkable separable ensemble.  Everything here is organized
 around making each step of that chain an independently verifiable computation.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     CertificationFailure,
     CommutatorViolation,
@@ -90,76 +92,10 @@ from .serialize import (
 
 __version__ = "0.1.0"
 
+# One list of public names: every name the imports above bind.  Importing
+# from a submodule also binds the submodule itself, which is left out.
 __all__ = [
-    "PptSepError",
-    "DimensionMismatch",
-    "NotHermitianError",
-    "NotPsdError",
-    "SingularError",
-    "NormalizationError",
-    "PreconditionError",
-    "NotPptError",
-    "RankMismatch",
-    "StructureViolation",
-    "CommutatorViolation",
-    "DegeneracyUnresolved",
-    "NoWitness",
-    "CertificationFailure",
-    "TripartiteDims",
-    "TripartiteState",
-    "SubsystemMask",
-    "ALL_MASKS",
-    "MASK_NONE",
-    "MASK_A",
-    "MASK_B",
-    "MASK_C",
-    "compose_index",
-    "split_index",
-    "kron",
-    "partial_transpose",
-    "block",
-    "sandwich_ab",
-    "conjugate_local",
-    "numeric_rank",
-    "psd_sqrt",
-    "psd_inv_sqrt",
-    "dagger",
-    "hermitize",
-    "is_psd",
-    "ppt_report",
-    "PptReport",
-    "MaskResult",
-    "ProductWitness",
-    "CanonicalForm",
-    "ExtractionDiagnostics",
-    "find_witness",
-    "rotate_to_corner",
-    "filter_corner",
-    "extract_canonical",
-    "verify_kernel_vectors",
-    "EigenTable",
-    "EnsembleTerm",
-    "SeparableEnsemble",
-    "simultaneous_diagonalize",
-    "ensemble_from_form",
-    "decompose",
-    "verify_ensemble",
-    "GenSpec",
-    "haar_unitary",
-    "gen_commuting_family",
-    "assemble_canonical_state",
-    "gen_canonical_state",
-    "identity_corner_state",
-    "qubit_corner_state",
-    "shifts_product_vectors",
-    "shifts_complement_state",
-    "ghz_vector",
-    "gen_npt_control",
-    "save_state",
-    "load_state",
-    "save_ensemble",
-    "load_ensemble",
-    "save_canonical_form",
-    "load_canonical_form",
-    "__version__",
-]
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+] + ["__version__"]

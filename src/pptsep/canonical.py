@@ -300,7 +300,7 @@ def _extract_admitted(
     """extract_canonical for a state that has already passed _admit."""
     k, m, n = state.dims.as_tuple()
     km = k * m
-    f = hermitize(block(state, km - 1, km - 1))
+    f = block(state, km - 1, km - 1)  # a diagonal block of rho: exactly Hermitian
     corner_rank = numeric_rank(f)
     if corner_rank != n:
         raise RankMismatch(

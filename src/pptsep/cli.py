@@ -141,13 +141,11 @@ def _generate_state(args):
     elif args.kind == "example-iii":
         state = shifts_complement_state(args.variant)
         metadata.update(variant=args.variant)
-    elif args.kind == "npt":
+    else:  # "npt", the last of the kinds argparse admits
         if args.dims is None:
             raise ValueError("--kind npt requires --dims K M N")
         state = gen_npt_control(TripartiteDims(*args.dims), p=args.p, seed=args.seed)
         metadata.update(p=args.p, seed=args.seed)
-    else:  # pragma: no cover - argparse choices guard this
-        raise ValueError(f"unknown kind {args.kind!r}")
     return state, truth, metadata
 
 

@@ -49,6 +49,9 @@ from .linalg import (
 from .canonical import extract_canonical  # noqa: F401
 from .linalg import numeric_rank  # noqa: F401
 
+# Attempts of simultaneous_diagonalize at a separating random combination.
+JD_MAX_RETRIES = 8
+
 
 @dataclass(frozen=True)
 class EigenTable:
@@ -112,14 +115,13 @@ def simultaneous_diagonalize(
     seed: int = 0,
     *,
     refine_by: np.ndarray | None = None,
-    max_retries: int = 8,
 ) -> EigenTable:
     """Common eigenbasis of a family of normal, pairwise-commuting matrices.
 
     Strategy: diagonalize a random real-coefficient combination of the
     Hermitian and anti-Hermitian parts of the family (one eigh call), accept if
     every generator is diagonal in that basis, and retry with fresh
-    coefficients up to max_retries times if not.  A random combination
+    coefficients up to JD_MAX_RETRIES times if not.  A random combination
     separates distinct joint eigenvalues almost surely; the retries cover the
     rare draw that nearly merges two of them.
 
@@ -156,7 +158,7 @@ def simultaneous_diagonalize(
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(11,)))
     best_u = None
     best_off = np.inf
-    for _ in range(max_retries):
+    for _ in range(JD_MAX_RETRIES):
         coeff = rng.standard_normal(len(parts))
         h = sum(c * p for c, p in zip(coeff, parts))
         _, u = np.linalg.eigh(h)
@@ -168,7 +170,7 @@ def simultaneous_diagonalize(
 
     if best_off > accept:
         raise DegeneracyUnresolved(
-            f"no common eigenbasis reached residual {accept:.1e} in {max_retries} attempts "
+            f"no common eigenbasis reached residual {accept:.1e} in {JD_MAX_RETRIES} attempts "
             f"(best {best_off:.3e})"
         )
     u = best_u

@@ -9,7 +9,7 @@ a given numpy build, independent of call order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -102,16 +102,7 @@ def assemble_canonical_state(
     lift = kron(np.eye(dims.k * dims.m, dtype=complex), psd_sqrt(form.f))
     rho = hermitize(lift @ (dagger(t) @ t) @ lift)
     tr = float(rho.trace().real)
-    state = TripartiteState(dims, rho / tr)
-    truth = CanonicalForm(
-        dims=dims,
-        a_list=form.a_list,
-        b_list=form.b_list,
-        f=form.f / tr,
-        local_u_a=form.local_u_a,
-        local_u_b=form.local_u_b,
-    )
-    return state, truth
+    return TripartiteState(dims, rho / tr), replace(form, f=form.f / tr)
 
 
 def gen_canonical_state(spec: GenSpec) -> tuple[TripartiteState, CanonicalForm]:
@@ -228,4 +219,4 @@ def gen_npt_control(
         if phi.shape != (d,):
             raise PreconditionError(f"phi has shape {phi.shape}, expected ({d},)")
     rho = (1 - p) * np.outer(phi, phi.conj()) + p * np.eye(d) / d
-    return TripartiteState(dims, hermitize(rho))
+    return TripartiteState(dims, rho)

@@ -140,6 +140,14 @@ ALL_MASKS = (
 class TripartiteState:
     """A Hermitian, unit-trace KMN x KMN matrix tied to its tripartite dimensions.
 
+    The input must be finite, of shape KMN x KMN, Hermitian within HERM_TOL
+    (relative) and of trace one within TRACE_TOL.  The type then stores its
+    own read-only copy of the Hermitian part, hermitize(input), so
+    state.rho == state.rho.conj().T holds exactly, entry for entry, and a
+    later change to the caller's array does not reach the state.  Every
+    verdict of the package is therefore a verdict on (rho + rho†)/2, and no
+    consumer hermitizes rho again.
+
     Positivity is *not* part of the type: PPT verdicts are a computation, and
     the literal variant of the misprinted product family is deliberately
     representable (it is Hermitian with trace one but indefinite).
@@ -160,7 +168,9 @@ class TripartiteState:
             raise NotHermitianError("rho is not Hermitian within tolerance")
         if abs(arr.trace() - 1.0) > TRACE_TOL:
             raise NormalizationError(f"trace(rho) = {arr.trace():.12g}, expected 1")
-        object.__setattr__(self, "rho", arr)
+        rho = hermitize(arr)
+        rho.flags.writeable = False
+        object.__setattr__(self, "rho", rho)
 
     @property
     def side(self) -> int:
@@ -259,7 +269,10 @@ def conjugate_local(
     d = KMN, against O(d³) for the dense product; a factor left as None
     costs no product at all.  When U_A ⊗ U_B is exactly a permutation matrix
     (as for every computational-basis witness), it moves whole blocks, so it
-    is applied as one row and column gather: O(d²) and no arithmetic.
+    is applied as one row and column gather: O(d²) and no arithmetic.  The
+    GEMM products leave a rounding-size anti-Hermitian part; the returned
+    state is built by the validating constructor, which keeps the Hermitian
+    part only.
     """
     k, m, n = state.dims.as_tuple()
     km, d = k * m, state.side
@@ -278,7 +291,7 @@ def conjugate_local(
     if u_c is not None:
         u_c = np.asarray(u_c, dtype=complex)
         rho = _conjugate_blocks(rho, km, n, u_c, dagger(u_c))
-    return TripartiteState(state.dims, hermitize(rho))
+    return TripartiteState(state.dims, rho)
 
 
 def _rank_above_cutoff(sv: np.ndarray, order: int, tol: float | None = None) -> int:

@@ -7,11 +7,16 @@ hence share a spectrum.  The verdict for {B, C} is therefore read off the
 {A} mask, and so on.  The report takes the four spectra; the admission gate
 of the canonical form needs only yes/no for the masked ones, and settles
 those by Cholesky certificates (_psd_verdict) where that is provably exact.
+
+Every matrix examined here is exactly Hermitian without a further projection:
+TripartiteState stores the Hermitian part of its input, and a partial
+transpose only permutes entries, in a way that commutes with the conjugate
+transpose.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,15 +71,12 @@ class PptReport:
 
     overall_ppt requires positivity of the state itself and of the three
     single-subsystem masks; the remaining masks are determined by those and
-    are reported for completeness.  spectrum holds the ascending eigenvalues
-    of the unmasked state, so the rank can be read without a second
-    decomposition; it is left out of to_dict() and of comparisons.
+    are reported for completeness.
     """
 
     entries: tuple[MaskResult, ...]
     overall_ppt: bool
     tol_used: float
-    spectrum: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def entry(self, mask: SubsystemMask) -> MaskResult:
         for e in self.entries:
@@ -96,34 +98,26 @@ def ppt_report(state: TripartiteState, tol: float | None = None) -> PptReport:
     tol defaults to 1e-9 * trace(rho); each mask passes iff its minimum
     eigenvalue is >= -tol.  Eigendecompositions are run for the identity and
     the three single-subsystem masks only — each remaining mask shares its
-    spectrum with the complement that was already computed.  rho is
-    hermitized once, before the masks are applied.
+    spectrum with the complement that was already computed.  The verdict is
+    on state.rho, which the state type keeps exactly Hermitian, so the
+    spectra are those of (input + input†)/2 and its partial transposes.
     """
     if tol is None:
         tol = _default_tol(state)
-    spectra = [np.linalg.eigvalsh(x) for x in _masked(state)]
+    spectra = [
+        np.linalg.eigvalsh(_transpose_subsystems(state.rho, state.dims, m)) for m in ALL_MASKS[:4]
+    ]
     entries = tuple(
         MaskResult(mask, lo, lo >= -tol)
         for mask, lo in zip(ALL_MASKS, _by_mask([float(w[0]) for w in spectra]))
     )
     overall = all(e.passed for e in entries[:4])
-    return PptReport(entries, overall, float(tol), spectrum=spectra[0])
+    return PptReport(entries, overall, float(tol))
 
 
 def _default_tol(state: TripartiteState) -> float:
     """The PPT tolerance when none is given: 1e-9 * trace(rho)."""
     return 1e-9 * float(state.rho.trace().real)
-
-
-def _masked(state: TripartiteState) -> list[np.ndarray]:
-    """The Hermitian part of rho and its A, B and C partial transposes (ALL_MASKS[:4]).
-
-    rho is hermitized once and then transposed: a partial transpose only
-    permutes entries, in a way that commutes with the conjugate transpose, so
-    this equals hermitizing each transposed matrix, bit for bit.
-    """
-    rho = hermitize(state.rho)
-    return [rho] + [_transpose_subsystems(rho, state.dims, m) for m in ALL_MASKS[1:4]]
 
 
 def _by_mask(values: list) -> list:
@@ -144,11 +138,17 @@ def _ppt_admission(state: TripartiteState) -> tuple[np.ndarray, list[str]]:
     in this frame, so a caller that raises on the result does not keep them
     alive through its traceback.
     """
-    masked = _masked(state)
-    spectrum = np.linalg.eigvalsh(masked[0])
+    spectrum = np.linalg.eigvalsh(state.rho)
     tol = _default_tol(state)
-    norm_f = float(np.linalg.norm(masked[0]))
-    passed = [float(spectrum[0]) >= -tol] + [_psd_verdict(x, tol, norm_f) for x in masked[1:]]
+    norm_f = float(np.linalg.norm(state.rho))
+    # Each partial transpose is a temporary of its own verdict, so one KMN x KMN
+    # copy is alive at a time.  With all three alive at once, glibc can hand the
+    # freed memory back to the OS after every call and fault it in again on the
+    # next: about 700 minor page faults per NotPptError refusal at (4,4,8).
+    passed = [float(spectrum[0]) >= -tol] + [
+        _psd_verdict(_transpose_subsystems(state.rho, state.dims, m), tol, norm_f)
+        for m in ALL_MASKS[1:4]
+    ]
     return spectrum, [mask.label for mask, ok in zip(ALL_MASKS, _by_mask(passed)) if not ok]
 
 

@@ -34,14 +34,6 @@ def _to_pairs(arr) -> list:
     return np.stack([a.real, a.imag], -1).tolist()
 
 
-def matrix_to_json(arr: np.ndarray) -> list:
-    return _to_pairs(arr)
-
-
-def vector_to_json(vec: np.ndarray) -> list:
-    return _to_pairs(vec)
-
-
 def _pairs_to_complex(obj, name: str) -> np.ndarray:
     arr = np.asarray(obj, dtype=float)
     if arr.ndim < 1 or arr.shape[-1] != 2:
@@ -93,7 +85,7 @@ def save_state(state: TripartiteState, path, metadata: dict | None = None) -> No
         "schema_version": SCHEMA_VERSION,
         "kind": "state",
         "dims": list(state.dims.as_tuple()),
-        "matrix": matrix_to_json(state.rho),
+        "matrix": _to_pairs(state.rho),
     }
     if metadata:
         doc["metadata"] = {str(k): str(v) for k, v in metadata.items()}
@@ -130,9 +122,9 @@ def save_ensemble(ensemble: SeparableEnsemble, path) -> None:
         "terms": [
             {
                 "p": float(t.p),
-                "vecA": vector_to_json(t.vec_a),
-                "vecB": vector_to_json(t.vec_b),
-                "vecC": vector_to_json(t.vec_c),
+                "vecA": _to_pairs(t.vec_a),
+                "vecB": _to_pairs(t.vec_b),
+                "vecC": _to_pairs(t.vec_c),
             }
             for t in ensemble.terms
         ],
@@ -175,11 +167,11 @@ def save_canonical_form(form: CanonicalForm, path) -> None:
         "schema_version": SCHEMA_VERSION,
         "kind": "canonical_form",
         "dims": list(form.dims.as_tuple()),
-        "a_list": [matrix_to_json(g) for g in form.a_list],
-        "b_list": [matrix_to_json(g) for g in form.b_list],
-        "f": matrix_to_json(form.f),
-        "local_u_a": matrix_to_json(form.local_u_a),
-        "local_u_b": matrix_to_json(form.local_u_b),
+        "a_list": [_to_pairs(g) for g in form.a_list],
+        "b_list": [_to_pairs(g) for g in form.b_list],
+        "f": _to_pairs(form.f),
+        "local_u_a": _to_pairs(form.local_u_a),
+        "local_u_b": _to_pairs(form.local_u_b),
     }
     _dump(doc, path)
 

@@ -181,11 +181,36 @@ class TestGenerate:
         assert code == 2
         assert doc is None
 
+    @pytest.mark.parametrize(
+        "kind, flags, library",
+        [
+            ("example-i", [], identity_corner_state),
+            ("npt", ["--p", "0.4", "--seed", "3"], lambda dims: gen_npt_control(dims, 0.4, 3)),
+        ],
+    )
+    def test_kinds_with_dims_write_the_library_state(self, capsys, tmp_path, kind, flags, library):
+        p = tmp_path / "state.json"
+        code, doc = run(
+            capsys, "generate", "--kind", kind, "--dims", "2", "2", "3", *flags, "--out", str(p)
+        )
+        assert code == 0
+        assert doc == {"status": "ok", "kind": kind, "dims": [2, 2, 3], "out": str(p)}
+        expected = library(TripartiteDims(2, 2, 3)).rho
+        assert load_state(p).rho.tobytes() == expected.tobytes()
+
     def test_canonical_without_dims_exits_two(self, capsys, tmp_path):
         code, _ = run(
             capsys, "generate", "--kind", "canonical", "--out", str(tmp_path / "x.json")
         )
         assert code == 2
+
+    @pytest.mark.parametrize("kind", ["example-i", "npt"])
+    def test_kinds_without_dims_exit_two(self, capsys, tmp_path, kind):
+        out = tmp_path / "x.json"
+        code, doc = run(capsys, "generate", "--kind", kind, "--out", str(out))
+        assert code == 2
+        assert doc is None
+        assert not out.exists()
 
 
 class TestVerify:

@@ -327,6 +327,16 @@ class TestVerifyEnsemble:
         _, ok = verify_ensemble(state, bad)
         assert not ok
 
+    def test_detects_non_positive_weight(self):
+        """A zero-weight term keeps the residual and the total weight; only min p fails."""
+        state = identity_corner_state(TripartiteDims(2, 2, 3))
+        ens = decompose(state)
+        tampered = replace(ens, terms=ens.terms + (replace(ens.terms[0], p=0.0),))
+        residual, ok = verify_ensemble(state, tampered)
+        assert not ok and residual <= 1e-8
+        _, failures = ensembles._certification_failures(state, tampered, 1e-8)
+        assert failures == ["min p 0.000e+00 <= 0"]
+
     def test_failure_names_only_the_broken_invariants(self, monkeypatch):
         """Weights scaled by 1 + 1e-9 keep the residual inside tol; it must not be blamed."""
         real = ensembles.ensemble_from_form

@@ -17,6 +17,7 @@ from pptsep import (
     block,
     compose_index,
     conjugate_local,
+    hermitize,
     identity_corner_state,
     kron,
     numeric_rank,
@@ -271,6 +272,24 @@ class TestStateValidation:
         rho[3, 3] = np.nan
         with pytest.raises(ValueError):
             TripartiteState(TripartiteDims(2, 2, 2), rho)
+
+    def test_stores_its_own_read_only_hermitian_part(self):
+        """rho is hermitize(input), exactly Hermitian, unaliased and read-only."""
+        rng = np.random.default_rng(3)
+        z = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        raw = z @ z.conj().T
+        raw = raw / raw.trace().real + 1e-12 * (z - z.conj().T)  # within HERM_TOL
+        state = TripartiteState(TripartiteDims(2, 2, 2), raw)
+        assert not np.array_equal(raw, raw.conj().T)
+        np.testing.assert_array_equal(state.rho, state.rho.conj().T)
+        assert state.rho.tobytes() == hermitize(raw).tobytes()
+
+        before = state.rho.tobytes()
+        raw[0, 0] += 5
+        assert state.rho.tobytes() == before
+        assert state.rho.trace().real == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(ValueError, match="read-only"):
+            state.rho[0, 0] = 0
 
 
 class TestConjugateLocal:

@@ -1,6 +1,7 @@
 """Tests for the JSON file formats: exact round trips and structural validation."""
 
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,6 +21,21 @@ from pptsep import (
     save_ensemble,
     save_state,
 )
+
+
+def state_doc(**fields):
+    """A valid StateFile document for dims (2, 2, 1), with fields overridden."""
+    matrix = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+    return {"schema_version": "1", "kind": "state", "dims": [2, 2, 1], "matrix": matrix, **fields}
+
+
+def ensemble_doc(terms):
+    """An EnsembleFile document for dims (2, 2, 2) with the given terms."""
+    return {"schema_version": "1", "kind": "ensemble", "dims": [2, 2, 2], "terms": terms}
+
+
+UNIT = [[1.0, 0.0], [0.0, 0.0]]
+TERM = {"p": 1.0, "vecA": UNIT, "vecB": UNIT, "vecC": UNIT}
 
 
 @pytest.fixture
@@ -168,3 +184,36 @@ class TestValidation:
         )
         with pytest.raises(ValueError, match="missing"):
             load_ensemble(p)
+
+    @pytest.mark.parametrize(
+        "load, doc, message",
+        [
+            pytest.param(load_state, [1, 2], "JSON object", id="non-object"),
+            pytest.param(load_state, state_doc(dims=[2, 2]), "three integers", id="bad-dims"),
+            pytest.param(
+                load_state, state_doc(matrix=[[0.25, 0.0]] * 4), "2-D matrix", id="1d-matrix"
+            ),
+            pytest.param(
+                partial(load_state, allow_unnormalized=True),
+                state_doc(matrix=[[[0.0, 0.0]] * 4] * 4),
+                "too small to normalize",
+                id="zero-trace",
+            ),
+            pytest.param(load_ensemble, ensemble_doc({}), "terms must be a list", id="terms"),
+            pytest.param(load_ensemble, ensemble_doc([1]), "must be an object", id="term"),
+            pytest.param(
+                load_ensemble, ensemble_doc([{**TERM, "vecA": [UNIT]}]), "1-D vector", id="2d-vector"
+            ),
+            pytest.param(
+                load_ensemble,
+                ensemble_doc([{**TERM, "vecC": UNIT + [[0.0, 0.0]]}]),
+                "shapes do not match",
+                id="vector-shape",
+            ),
+        ],
+    )
+    def test_rejects_malformed_documents(self, tmp_path, load, doc, message):
+        p = tmp_path / "file.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message):
+            load(p)
