@@ -28,9 +28,11 @@ from .errors import (
     StructureViolation,
 )
 from .linalg import (
+    CERT_TOL,
     TripartiteDims,
     TripartiteState,
     _conjugate_blocks,
+    _family_scale,
     _rank_above_cutoff,
     block,
     conjugate_local,
@@ -125,18 +127,17 @@ def find_witness(
     seed: int = 0,
     e_a: np.ndarray | None = None,
     f_b: np.ndarray | None = None,
-    tol: float | None = None,
 ) -> ProductWitness | None:
     """Search for a product pair whose sandwich block on C has full rank N.
 
     mode "corner" scans the K*M computational-basis pairs; "search" adds
     `samples` Haar-like random product pairs on top of those; "explicit" tests
     exactly the supplied (e_a, f_b).  A candidate has rank N when every
-    singular value of its Hermitized sandwich exceeds n * eps * sigma_max (or
-    `tol`).  Among the full-rank candidates the one with the largest smallest
-    singular value wins (ties broken by scan order), which keeps the downstream
-    filter as well-conditioned as the state allows.  Returns None when no
-    candidate reaches rank N.
+    singular value of its Hermitized sandwich exceeds n * eps * sigma_max, the
+    rank rule of numeric_rank.  Among the full-rank candidates the one with the
+    largest smallest singular value wins (ties broken by scan order), which
+    keeps the downstream filter as well-conditioned as the state allows.
+    Returns None when no candidate reaches rank N.
 
     The sandwiches of all candidates are stacked and their singular values
     taken in one batched SVD; the random pairs come from one block of draws
@@ -170,8 +171,7 @@ def find_witness(
         np.stack([hermitize(sandwich_ab(state, ea, fb)) for ea, fb in candidates]),
         compute_uv=False,
     )
-    cutoff = n * np.finfo(float).eps * sv[:, :1] if tol is None else tol
-    full_rank = np.all(sv > cutoff, axis=1)
+    full_rank = _rank_above_cutoff(sv, n) == n
     if not full_rank.any():
         return None
     best = int(np.argmax(np.where(full_rank, sv[:, -1], -np.inf)))
@@ -280,7 +280,7 @@ def _admit(state: TripartiteState) -> None:
     the verdict for mask "none".  The A, B and C partial transposes need only
     a yes/no: _psd_verdict settles each by shifted Cholesky factorizations
     and falls back to eigvalsh only near the threshold, with the same verdict
-    as ppt_report at the same 1e-9 * trace(rho) tolerance.  Raises
+    as ppt_report at the same PPT_TOL * trace(rho) tolerance.  Raises
     RankMismatch unless the rank is N, then NotPptError naming every failing
     mask (as ppt_report would).  Both verdicts are invariant under local
     unitaries, so they may be taken before or after a rotation to the corner.
@@ -328,7 +328,6 @@ def _extract_admitted(
     recon = float(np.linalg.norm(residual) / np.linalg.norm(rho_f))
     gens = form.generators()
     comm = _commutator_max(gens)
-    gscale = max(1.0, max(float(np.linalg.norm(g)) for g in gens)) ** 2
     d_idx = (k - 2) * m + (m - 2)
     delta = float(np.linalg.norm(fblock(residual, d_idx, d_idx)))
 
@@ -343,7 +342,7 @@ def _extract_admitted(
         kernel_residual_max=kernel,
         f_condition=float(ev[-1] / ev[0]),
     )
-    if recon > tol or comm > tol * gscale:
+    if recon > tol or comm > tol * _family_scale(gens) ** 2:
         raise StructureViolation(
             f"filtered state is not in product-monomial form at tol {tol:.1e} "
             f"(reconstruction residual {recon:.3e}, commutator max {comm:.3e})"
@@ -352,7 +351,7 @@ def _extract_admitted(
 
 
 def extract_canonical(
-    state: TripartiteState, tol: float = 1e-8
+    state: TripartiteState, tol: float = CERT_TOL
 ) -> tuple[CanonicalForm, ExtractionDiagnostics]:
     """Extract the canonical form of a rank-N PPT state with invertible corner.
 

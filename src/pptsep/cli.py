@@ -29,7 +29,7 @@ from .generate import (
     qubit_corner_state,
     shifts_complement_state,
 )
-from .linalg import TripartiteDims
+from .linalg import CERT_TOL, PPT_TOL, TripartiteDims
 from .ppt import ppt_report
 from .serialize import (
     load_ensemble,
@@ -197,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-ppt", help="evaluate every partial-transpose mask of a state")
     p.add_argument("state", help="StateFile (JSON) to check")
-    p.add_argument("--tol", type=float, default=None, help="eigenvalue slack (default 1e-9)")
+    p.add_argument("--tol", type=float, help=f"eigenvalue slack (default {PPT_TOL:g} * trace(rho))")
     p.add_argument(
         "--allow-unnormalized", action="store_true", help="rescale a non-unit trace on load"
     )
@@ -205,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="extract a certified separable decomposition")
     p.add_argument("state", help="StateFile (JSON) to decompose")
-    p.add_argument("--tol", type=float, default=1e-8, help="certification tolerance")
+    p.add_argument("--tol", type=float, default=CERT_TOL, help="certification tolerance")
     p.add_argument(
         "--witness",
         choices=["corner", "search", "explicit"],
@@ -249,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check an EnsembleFile against a StateFile")
     p.add_argument("state", help="StateFile (JSON)")
     p.add_argument("ensemble", help="EnsembleFile (JSON)")
-    p.add_argument("--tol", type=float, default=1e-8, help="residual tolerance")
+    p.add_argument("--tol", type=float, default=CERT_TOL, help="residual tolerance")
     p.add_argument(
         "--allow-unnormalized", action="store_true", help="rescale a non-unit trace on load"
     )

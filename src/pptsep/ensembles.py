@@ -35,10 +35,12 @@ from .canonical import (
     rotate_to_corner,
 )
 from .linalg import (
+    CERT_TOL,
     TRACE_TOL,
     VEC_TOL,
     TripartiteDims,
     TripartiteState,
+    _family_scale,
     dagger,
     hermitize,
     psd_sqrt,
@@ -111,7 +113,7 @@ def _phase_fix(u: np.ndarray) -> np.ndarray:
 
 def simultaneous_diagonalize(
     generators: list[np.ndarray],
-    tol: float = 1e-8,
+    tol: float = CERT_TOL,
     seed: int = 0,
     *,
     refine_by: np.ndarray | None = None,
@@ -132,8 +134,10 @@ def simultaneous_diagonalize(
     caller pick the one that also diagonalizes the compressed filter.)
 
     Raises CommutatorViolation if the family is not normal/commuting within
-    tol (scaled by squared generator norm), DegeneracyUnresolved (with the best
-    residual and the bound) if no attempt reaches the target residual.
+    tol * s², DegeneracyUnresolved (with the best residual and the bound) if no
+    attempt reaches the target residual tol * s, for the family scale
+    s = max(1, max ||g||_F).  Joint eigenvalues within tol * s of each other
+    form one degenerate group for refine_by.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -142,13 +146,13 @@ def simultaneous_diagonalize(
     for g in gens:
         if g.shape != (n, n):
             raise DimensionMismatch("generators must share one square shape")
-    gscale = max(1.0, max(float(np.linalg.norm(g)) for g in gens)) ** 2
+    scale = _family_scale(gens)
     defect = _commutator_max(gens)
-    if defect > tol * gscale:
+    if defect > tol * scale**2:
         raise CommutatorViolation(
             f"family is not normal/commuting within tolerance (defect {defect:.3e})"
         )
-    accept = tol * max(1.0, max(float(np.linalg.norm(g)) for g in gens))
+    accept = tol * scale
 
     parts: list[np.ndarray] = []
     for g in gens:
@@ -178,7 +182,6 @@ def simultaneous_diagonalize(
     if refine_by is not None:
         refine = hermitize(np.asarray(refine_by, dtype=complex))
         vals = np.array([np.diag(dagger(u) @ g @ u) for g in gens])
-        group_tol = tol * max(1.0, np.sqrt(gscale))
         used = np.zeros(n, dtype=bool)
         for i in range(n):
             if used[i]:
@@ -186,7 +189,7 @@ def simultaneous_diagonalize(
             grp = [i]
             used[i] = True
             for j in range(i + 1, n):
-                if not used[j] and float(np.max(np.abs(vals[:, i] - vals[:, j]))) <= group_tol:
+                if not used[j] and float(np.max(np.abs(vals[:, i] - vals[:, j]))) <= accept:
                     grp.append(j)
                     used[j] = True
             if len(grp) > 1:
@@ -199,14 +202,21 @@ def simultaneous_diagonalize(
     return EigenTable(u=u, values=values)
 
 
-def ensemble_from_form(form: CanonicalForm, tol: float = 1e-8, seed: int = 0) -> SeparableEnsemble:
+def ensemble_from_form(form: CanonicalForm, tol: float = CERT_TOL, seed: int = 0) -> SeparableEnsemble:
     """Build the product ensemble certified by a canonical form.
 
     The generators are jointly diagonalized (with the filter F refining any
     leftover degeneracy), and each common eigenvector contributes one product
-    term.  Weights are the squared norms of the unnormalized product vectors;
-    vec_a and vec_b are returned in the original frame, i.e. rotated back
-    through the form's local unitaries.
+    term.  Weights are the squared norms of the unnormalized product vectors,
+    divided by their sum; vec_a and vec_b are returned in the original frame,
+    i.e. rotated back through the form's local unitaries.
+
+    The raw weights sum to trace(sum_n p_n P_n), which differs from
+    trace(rho) = 1 by up to sqrt(KMN) * ||rho - sum_n p_n P_n||_F: with a
+    badly conditioned filter that exceeds TRACE_TOL while the reconstruction
+    residual is still within tol.  Dividing by the sum leaves every vector as
+    it is, and the certification that follows checks the result at the same
+    tol, with every bound unchanged.
     """
     k, m, n = form.dims.as_tuple()
     table = simultaneous_diagonalize(form.generators(), tol=tol, seed=seed, refine_by=form.f)
@@ -215,28 +225,22 @@ def ensemble_from_form(form: CanonicalForm, tol: float = 1e-8, seed: int = 0) ->
     sqrt_f = psd_sqrt(form.f)
     ua_back = dagger(form.local_u_a)
     ub_back = dagger(form.local_u_b)
-    terms = []
+    raw = []
     for i in range(n):
         vec_a = np.append(np.conj([bv[i] for bv in b_vals]), 1.0).astype(complex)
         vec_b = np.append(np.conj([av[i] for av in a_vals]), 1.0).astype(complex)
         vec_c = sqrt_f @ table.u[:, i]
         na, nb, nc = (np.linalg.norm(v) for v in (vec_a, vec_b, vec_c))
         p = float((na * nb * nc) ** 2)
-        terms.append(
-            EnsembleTerm(
-                p=p,
-                vec_a=ua_back @ (vec_a / na),
-                vec_b=ub_back @ (vec_b / nb),
-                vec_c=vec_c / nc,
-            )
-        )
-    terms.sort(key=lambda t: -t.p)
-    return SeparableEnsemble(dims=form.dims, terms=tuple(terms))
+        raw.append((p, ua_back @ (vec_a / na), ub_back @ (vec_b / nb), vec_c / nc))
+    raw.sort(key=lambda r: -r[0])
+    total = sum(r[0] for r in raw)
+    return SeparableEnsemble(form.dims, tuple(EnsembleTerm(p / total, *vecs) for p, *vecs in raw))
 
 
 def decompose(
     state: TripartiteState,
-    tol: float = 1e-8,
+    tol: float = CERT_TOL,
     witness: str = "search",
     seed: int = 0,
     *,
@@ -313,7 +317,7 @@ def _certification_failures(
 
 
 def verify_ensemble(
-    state: TripartiteState, ensemble: SeparableEnsemble, tol: float = 1e-8
+    state: TripartiteState, ensemble: SeparableEnsemble, tol: float = CERT_TOL
 ) -> tuple[float, bool]:
     """Reconstruction residual of the ensemble against the state, plus a verdict.
 

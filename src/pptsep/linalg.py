@@ -25,11 +25,34 @@ from .errors import (
     SingularError,
 )
 
-# Validation slacks for state-like objects.  These are deliberately tight:
-# generators normalize exactly and the file loader re-normalizes on request.
+# The tolerance policy.  Every threshold of the package is named here, once,
+# with the scale it is relative to; no other module writes a tolerance literal.
+# Rank decisions use no named bound: _rank_above_cutoff derives its cutoff,
+# order * eps * sigma_max, from the matrix itself.
+#
+# Hermitian defect ||X - X†||_F of a state or is_psd input, relative to
+# max(1, ||X||_F): a few roundings per entry, far below any physical signal.
 HERM_TOL = 1e-10
+# |trace(rho) - 1| of a state and |sum p - 1| of an ensemble, absolute: the
+# generators normalize exactly and load_state re-normalizes on request.
 TRACE_TOL = 1e-10
+# | ||v|| - 1 | of a witness or ensemble vector, absolute: vectors are divided
+# by their own norm, so the gap is a few ulps.
 VEC_TOL = 1e-10
+# Slack on the smallest eigenvalue of a PPT or is_psd verdict, relative to
+# the trace: well above eigvalsh's backward error, well below any negativity
+# that certifies entanglement.
+PPT_TOL = 1e-9
+# Negative eigenvalues the PSD roots clip to zero, relative to
+# max(1, lambda_max); anything more negative is a NotPsdError.
+PSD_CLIP = 1e-10
+# Default certification tolerance: the relative reconstruction residuals of
+# extraction and ensemble, and, scaled by the generator family
+# (_family_scale), the commutator and joint-diagonalization bounds.
+CERT_TOL = 1e-8
+# Smallest |trace| load_state will normalize away, absolute: below it the
+# division would amplify rounding into the whole matrix.
+TRACE_FLOOR = 1e-12
 
 
 def dagger(x: np.ndarray) -> np.ndarray:
@@ -40,6 +63,22 @@ def dagger(x: np.ndarray) -> np.ndarray:
 def hermitize(x: np.ndarray) -> np.ndarray:
     """Project onto the Hermitian part, (X + X†)/2."""
     return (x + dagger(x)) / 2
+
+
+def _require_hermitian(x: np.ndarray, what: str) -> None:
+    """Raise NotHermitianError unless ||X - X†||_F <= HERM_TOL * max(1, ||X||_F)."""
+    scale = max(1.0, float(np.linalg.norm(x)))
+    if np.linalg.norm(x - dagger(x)) > HERM_TOL * scale:
+        raise NotHermitianError(f"{what} is not Hermitian within tolerance")
+
+
+def _family_scale(gens: list[np.ndarray]) -> float:
+    """s = max(1, max ||g||_F) over a generator family.
+
+    The commutator bound is tol * s² (a product of two generators) and the
+    joint-diagonalization bound tol * s (one generator in a rotated basis).
+    """
+    return max(1.0, max(float(np.linalg.norm(g)) for g in gens))
 
 
 def as_complex_matrix(x, name: str = "matrix") -> np.ndarray:
@@ -163,9 +202,7 @@ class TripartiteState:
             raise DimensionMismatch(
                 f"rho has shape {arr.shape}, dims {self.dims.as_tuple()} need ({d}, {d})"
             )
-        scale = max(1.0, float(np.linalg.norm(arr)))
-        if np.linalg.norm(arr - dagger(arr)) > HERM_TOL * scale:
-            raise NotHermitianError("rho is not Hermitian within tolerance")
+        _require_hermitian(arr, "rho")
         if abs(arr.trace() - 1.0) > TRACE_TOL:
             raise NormalizationError(f"trace(rho) = {arr.trace():.12g}, expected 1")
         rho = hermitize(arr)
@@ -294,58 +331,60 @@ def conjugate_local(
     return TripartiteState(state.dims, rho)
 
 
-def _rank_above_cutoff(sv: np.ndarray, order: int, tol: float | None = None) -> int:
-    """Count of singular values above tol, by default order * eps * sigma_max.
+def _rank_above_cutoff(sv: np.ndarray, order: int) -> int | np.ndarray:
+    """Count of singular values above order * eps * sigma_max, along the last axis.
 
-    The one rank rule of the package: numeric_rank applies it to an SVD, and
-    the admission gate of the canonical form to |eigenvalues| of a Hermitian
-    matrix, which are its singular values.
+    The one rank rule of the package: numeric_rank applies it to an SVD, the
+    witness search to a stack of sandwich spectra (one count per row), the
+    admission gate of the canonical form to |eigenvalues| of a Hermitian
+    matrix, which are its singular values, and psd_inv_sqrt to the clipped
+    spectrum it inverts.
     """
     if sv.size == 0:
         return 0
-    if tol is None:
-        tol = order * np.finfo(float).eps * float(sv.max())
-    return int(np.count_nonzero(sv > tol))
+    if sv.ndim == 1:
+        # A scalar cutoff and count_nonzero's whole-array path.  The stacked
+        # form below allocates a few more temporaries, and for one spectrum
+        # that alone moved the NotPptError refusal loop at (4,4,8) into
+        # glibc's trim-and-refault mode, about 1.4 ms slower per refusal.
+        return int(np.count_nonzero(sv > order * np.finfo(float).eps * float(sv.max())))
+    return np.count_nonzero(sv > sv.max(-1, keepdims=True) * (order * np.finfo(float).eps), axis=-1)
 
 
-def numeric_rank(x: np.ndarray, tol: float | None = None) -> int:
-    """Number of singular values above threshold.
+def numeric_rank(x: np.ndarray) -> int:
+    """Number of singular values above max(shape) * eps * sigma_max.
 
-    The default threshold is max(shape) * eps * sigma_max, the usual dense
-    rank cutoff; pass tol to override with an absolute value.
+    That is the usual dense rank cutoff, and the package's one rank rule.
     """
     x = as_complex_matrix(x, "rank input")
-    return _rank_above_cutoff(np.linalg.svd(x, compute_uv=False), max(x.shape), tol)
+    return _rank_above_cutoff(np.linalg.svd(x, compute_uv=False), max(x.shape))
 
 
-def _psd_eigh(x: np.ndarray, tol: float | None):
+def _psd_eigh(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Shared eigendecomposition with negative-eigenvalue policy for the psd_* helpers."""
     x = as_complex_matrix(x, "psd input")
     if x.shape[0] != x.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got {x.shape}")
     w, v = np.linalg.eigh(hermitize(x))
-    wmax = float(w[-1]) if w.size else 0.0
-    if tol is None:
-        tol = 1e-10 * max(1.0, wmax)
+    tol = PSD_CLIP * max(1.0, float(w[-1]) if w.size else 0.0)
     if w.size and w[0] < -tol:
         raise NotPsdError(f"matrix has negative eigenvalue {w[0]:.3e} (tolerance {tol:.1e})")
-    return np.clip(w, 0.0, None), v, wmax
+    return np.clip(w, 0.0, None), v
 
 
-def psd_sqrt(x: np.ndarray, tol: float | None = None) -> np.ndarray:
+def psd_sqrt(x: np.ndarray) -> np.ndarray:
     """Hermitian square root of a PSD matrix; small negative eigenvalues are clipped to zero."""
-    w, v, _ = _psd_eigh(x, tol)
+    w, v = _psd_eigh(x)
     return hermitize(v @ np.diag(np.sqrt(w)) @ dagger(v))
 
 
-def psd_inv_sqrt(x: np.ndarray, tol: float | None = None) -> np.ndarray:
+def psd_inv_sqrt(x: np.ndarray) -> np.ndarray:
     """Hermitian inverse square root of a strictly positive matrix.
 
-    Raises SingularError if any eigenvalue falls at or below the dense rank
-    cutoff, and NotPsdError for significant negative ones.
+    Raises SingularError if any clipped eigenvalue falls at or below the dense
+    rank cutoff, and NotPsdError for significant negative ones.
     """
-    w, v, wmax = _psd_eigh(x, tol)
-    cutoff = w.size * np.finfo(float).eps * wmax
-    if w.size == 0 or w[0] <= cutoff:
+    w, v = _psd_eigh(x)
+    if w.size == 0 or _rank_above_cutoff(w, w.size) < w.size:
         raise SingularError("matrix is numerically singular; cannot form inverse square root")
     return hermitize(v @ np.diag(1.0 / np.sqrt(w)) @ dagger(v))

@@ -20,30 +20,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHermitianError
 from .linalg import (
     ALL_MASKS,
+    PPT_TOL,
     SubsystemMask,
     TripartiteState,
+    _require_hermitian,
     _transpose_subsystems,
     as_complex_matrix,
-    dagger,
     hermitize,
 )
 
 
-def is_psd(x: np.ndarray, tol: float | None = None, herm_tol: float = 1e-10) -> tuple[bool, float]:
+def is_psd(x: np.ndarray, tol: float | None = None) -> tuple[bool, float]:
     """Whether X is positive semidefinite, together with its minimum eigenvalue.
 
-    X must be Hermitian within herm_tol (relative); the verdict is
-    min eig >= -tol, with tol defaulting to 1e-9 * max(1, |trace X|).
+    X must be Hermitian within HERM_TOL (relative); the verdict is
+    min eig >= -tol, with tol defaulting to PPT_TOL * max(1, |trace X|).
     """
     x = as_complex_matrix(x, "is_psd input")
-    scale = max(1.0, float(np.linalg.norm(x)))
-    if np.linalg.norm(x - dagger(x)) > herm_tol * scale:
-        raise NotHermitianError("is_psd input is not Hermitian within tolerance")
+    _require_hermitian(x, "is_psd input")
     if tol is None:
-        tol = 1e-9 * max(1.0, abs(float(x.trace().real)))
+        tol = PPT_TOL * max(1.0, abs(float(x.trace().real)))
     w = np.linalg.eigvalsh(hermitize(x))
     lo = float(w[0])
     return lo >= -tol, lo
@@ -95,7 +93,7 @@ class PptReport:
 def ppt_report(state: TripartiteState, tol: float | None = None) -> PptReport:
     """Evaluate every transpose mask of the state.
 
-    tol defaults to 1e-9 * trace(rho); each mask passes iff its minimum
+    tol defaults to PPT_TOL * trace(rho); each mask passes iff its minimum
     eigenvalue is >= -tol.  Eigendecompositions are run for the identity and
     the three single-subsystem masks only — each remaining mask shares its
     spectrum with the complement that was already computed.  The verdict is
@@ -116,8 +114,8 @@ def ppt_report(state: TripartiteState, tol: float | None = None) -> PptReport:
 
 
 def _default_tol(state: TripartiteState) -> float:
-    """The PPT tolerance when none is given: 1e-9 * trace(rho)."""
-    return 1e-9 * float(state.rho.trace().real)
+    """The PPT tolerance when none is given: PPT_TOL * trace(rho)."""
+    return PPT_TOL * float(state.rho.trace().real)
 
 
 def _by_mask(values: list) -> list:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .canonical import CanonicalForm
 from .ensembles import EnsembleTerm, SeparableEnsemble
-from .linalg import TripartiteDims, TripartiteState
+from .linalg import TRACE_FLOOR, TripartiteDims, TripartiteState
 
 SCHEMA_VERSION = "1"
 
@@ -107,7 +107,7 @@ def load_state(path, allow_unnormalized: bool = False) -> TripartiteState:
         )
     if allow_unnormalized:
         tr = complex(mat.trace())
-        if abs(tr) < 1e-12:
+        if abs(tr) < TRACE_FLOOR:
             raise ValueError(f"{path}: trace {tr:.3g} too small to normalize away")
         mat = mat / tr.real
     return TripartiteState(dims, mat)

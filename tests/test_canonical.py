@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pptsep import (
+    CanonicalForm,
     DimensionMismatch,
     GenSpec,
     NormalizationError,
@@ -31,6 +32,7 @@ from pptsep import (
     shifts_complement_state,
     verify_kernel_vectors,
 )
+from pptsep.canonical import _completion_unitary
 
 
 def unit(dim, idx):
@@ -111,13 +113,6 @@ class TestFindWitness:
         assert find_witness(state, "corner") is None
         w = find_witness(state, "search", samples=64, seed=0)
         assert w is not None and w.sandwich_rank == 2
-
-    def test_absolute_tol_replaces_relative_cutoff(self):
-        """The only full-rank pair has singular values (0.75, 0.25); rank N needs both above tol."""
-        state = qubit_corner_state(0.25)
-        w = find_witness(state, "corner", tol=0.2)
-        np.testing.assert_array_equal(w.e_a, unit(2, 0))
-        assert find_witness(state, "corner", tol=0.3) is None
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -345,3 +340,28 @@ class TestKernelVectors:
         rho[16:18, 16:18] += h
         perturbed = TripartiteState(dims, rho)
         assert verify_kernel_vectors(perturbed, form) > 1e-4
+
+
+def _qubit_form(a_count):
+    eye = np.eye(2, dtype=complex)
+    return CanonicalForm(TripartiteDims(2, 2, 2), (eye,) * a_count, (eye,), eye, eye, eye)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: _qubit_form(0), DimensionMismatch),
+        (lambda: find_witness(qubit_corner_state(0.3), "explicit", e_a=unit(2, 0)), ValueError),
+        (lambda: _completion_unitary(np.ones(3), 2), DimensionMismatch),
+        (
+            lambda: verify_kernel_vectors(
+                identity_corner_state(TripartiteDims(2, 2, 3)), _qubit_form(1)
+            ),
+            DimensionMismatch,
+        ),
+    ],
+    ids=["generator count", "explicit witness without f_b", "witness shape", "form of other dims"],
+)
+def test_malformed_input_rejected(call, error):
+    with pytest.raises(error):
+        call()

@@ -117,6 +117,14 @@ class TestDecompose:
         assert code == 2
         assert doc is None
 
+    @pytest.mark.parametrize("ea", ["1,x", "0,0"], ids=["unparsable", "zero"])
+    def test_bad_explicit_vector_exits_two(self, capsys, ppt_state_file, ea):
+        code, doc = run(
+            capsys, "decompose", ppt_state_file, "--witness", "explicit", "--ea", ea, "--fb", "1,0"
+        )
+        assert code == 2
+        assert doc is None
+
     def test_explicit_witness_runs(self, capsys, ppt_state_file):
         # the qubit example is supported on block (0, 0), so that is the
         # product pair with an invertible sandwich
@@ -246,6 +254,24 @@ class TestVerify:
         code, doc = run(capsys, "verify", str(other), str(ens_path))
         assert code == 2
         assert doc is None
+
+    def test_ensemble_file_of_other_dims_exits_two(self, capsys, tmp_path):
+        """Its vectors no longer match its dims, so it fails to load."""
+        state_path, ens_path = self._write_pair(tmp_path, capsys)
+        doc = json.loads(ens_path.read_text())
+        doc["dims"] = [2, 2, 3]
+        ens_path.write_text(json.dumps(doc))
+        code, out = run(capsys, "verify", str(state_path), str(ens_path))
+        assert code == 2
+        assert out is None
+
+
+@pytest.mark.parametrize(
+    "argv", [[], ["frobnicate"], ["decompose"]], ids=["no command", "unknown command", "no state"]
+)
+def test_usage_error_exits_two(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
 
 
 class TestStdoutDiscipline:

@@ -112,6 +112,10 @@ class TestSimultaneousDiagonalize:
         with pytest.raises(ValueError):
             simultaneous_diagonalize([])
 
+    def test_rejects_mixed_shapes(self):
+        with pytest.raises(DimensionMismatch):
+            simultaneous_diagonalize([np.eye(2), np.eye(3)])
+
     def test_unresolved_after_the_last_retry(self, monkeypatch):
         """When no attempt reaches the bound, the error names the best residual and the bound."""
         calls = []

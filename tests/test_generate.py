@@ -192,3 +192,15 @@ class TestControls:
     def test_denormalized_phi_rejected(self):
         with pytest.raises(NormalizationError):
             gen_npt_control(TripartiteDims(2, 2, 2), p=0.0, phi=np.ones(8))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: ghz_vector(TripartiteDims(2, 2, 1)),
+            lambda: gen_npt_control(TripartiteDims(2, 2, 2), p=0.5, phi=np.ones(4) / 2),
+        ],
+        ids=["ghz with N = 1", "phi of the wrong length"],
+    )
+    def test_precondition_violations(self, call):
+        with pytest.raises(PreconditionError):
+            call()

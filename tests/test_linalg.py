@@ -1,8 +1,12 @@
 """Tests for the tensor-core layer: indexing, partial transposes, blocks, PSD helpers."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import pptsep
 from pptsep import (
     ALL_MASKS,
     MASK_NONE,
@@ -29,6 +33,7 @@ from pptsep import (
     shifts_complement_state,
     split_index,
 )
+from pptsep.linalg import _rank_above_cutoff, as_complex_matrix
 
 
 def random_state(dims, seed):
@@ -219,8 +224,46 @@ class TestNumericRank:
         q, _ = np.linalg.qr(z)
         assert numeric_rank(q @ q.conj().T) == r
 
-    def test_explicit_tolerance_override(self):
-        assert numeric_rank(np.diag([1.0, 1e-6]), tol=1e-3) == 1
+    def test_empty_matrix(self):
+        assert numeric_rank(np.zeros((0, 3))) == 0
+
+    def test_stacked_rule_counts_each_row(self):
+        """Rows at and one ulp above the cutoff 4 * eps * sigma_max, counted per row."""
+        order, eps = 4, np.finfo(float).eps
+        edge = order * eps * 2.0
+        sv = np.array(
+            [
+                [2.0, 1.0, 0.5, 0.25],
+                [2.0, 1.0, edge, 0.0],
+                [2.0, np.nextafter(edge, 1.0), edge, 0.0],
+                [3.0, 3.0, 3.0, 3.0],
+                [0.0, 0.0, 0.0, 0.0],
+            ]
+        )
+        want = [sum(v > order * eps * max(row) for v in row) for row in sv.tolist()]
+        assert want == [4, 2, 2, 4, 0]
+        assert _rank_above_cutoff(sv, order).tolist() == want
+        assert [_rank_above_cutoff(row, order) for row in sv] == want
+
+
+def test_no_tolerance_literal_outside_the_policy_block():
+    """Every float below 1e-3 in the package is the value of a module-level name in linalg."""
+    src = Path(pptsep.__file__).parent
+    policy = {
+        ("linalg.py", node.value.lineno, node.value.col_offset)
+        for node in ast.parse((src / "linalg.py").read_text()).body
+        if isinstance(node, ast.Assign)
+    }
+    stray = [
+        f"{path.name}:{node.lineno} {node.value!r}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, float)
+        and 0 < node.value < 1e-3
+        and (path.name, node.lineno, node.col_offset) not in policy
+    ]
+    assert stray == []
 
 
 class TestPsdRoots:
@@ -250,6 +293,26 @@ class TestPsdRoots:
     def test_singular_rejected_for_inverse(self):
         with pytest.raises(SingularError):
             psd_inv_sqrt(np.diag([1.0, 0.0]))
+
+    def test_all_negative_within_the_clip_is_singular_for_inverse(self):
+        """Clipped to zero, so no inverse: SingularError, not infinite entries."""
+        with pytest.raises(SingularError):
+            psd_inv_sqrt(np.diag([-1e-12, -2e-12]))
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: as_complex_matrix(np.ones(3)), ValueError),
+        (lambda: split_index(8, TripartiteDims(2, 2, 2)), IndexError),
+        (lambda: split_index(-1, TripartiteDims(2, 2, 2)), IndexError),
+        (lambda: psd_sqrt(np.ones((2, 3))), DimensionMismatch),
+    ],
+    ids=["1-d matrix", "index past the end", "negative index", "non-square root"],
+)
+def test_malformed_input_rejected(call, error):
+    with pytest.raises(error):
+        call()
 
 
 class TestStateValidation:
