@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -53,6 +54,22 @@ def _fail_typed(err: PptSepError) -> int:
     _emit({"status": "error", "error": type(err).__name__, "message": str(err)})
     print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
     return 3
+
+
+def _positive_float(text: str) -> float:
+    """argparse type of a tolerance: a positive, finite float."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type of a seed or a sample count."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text!r}")
+    return value
 
 
 def _parse_complex_vector(text: str, name: str) -> np.ndarray:
@@ -197,7 +214,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-ppt", help="evaluate every partial-transpose mask of a state")
     p.add_argument("state", help="StateFile (JSON) to check")
-    p.add_argument("--tol", type=float, help=f"eigenvalue slack (default {PPT_TOL:g} * trace(rho))")
+    p.add_argument(
+        "--tol",
+        type=_positive_float,
+        help=f"eigenvalue slack (default {PPT_TOL:g} * trace(rho))",
+    )
     p.add_argument(
         "--allow-unnormalized", action="store_true", help="rescale a non-unit trace on load"
     )
@@ -205,15 +226,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="extract a certified separable decomposition")
     p.add_argument("state", help="StateFile (JSON) to decompose")
-    p.add_argument("--tol", type=float, default=CERT_TOL, help="certification tolerance")
+    p.add_argument("--tol", type=_positive_float, default=CERT_TOL, help="certification tolerance")
     p.add_argument(
         "--witness",
         choices=["corner", "search", "explicit"],
         default="search",
         help="witness strategy (default: search)",
     )
-    p.add_argument("--seed", type=int, default=0, help="seed for the witness search")
-    p.add_argument("--samples", type=int, default=256, help="random witness samples in search mode")
+    p.add_argument("--seed", type=_non_negative_int, default=0, help="seed for the witness search")
+    p.add_argument(
+        "--samples",
+        type=_non_negative_int,
+        default=256,
+        help="random witness samples in search mode",
+    )
     p.add_argument("--ea", help="explicit witness on A: comma-separated complex components")
     p.add_argument("--fb", help="explicit witness on B: comma-separated complex components")
     p.add_argument("--out", help="write the EnsembleFile here")
@@ -230,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="which family to generate",
     )
     p.add_argument("--dims", type=int, nargs=3, metavar=("K", "M", "N"), help="local dimensions")
-    p.add_argument("--seed", type=int, default=0, help="generator seed")
+    p.add_argument("--seed", type=_non_negative_int, default=0, help="generator seed")
     p.add_argument("--scale", type=float, default=1.0, help="generator eigenvalue scale (canonical)")
     p.add_argument(
         "--cond-cap", type=float, default=100.0, help="filter condition-number cap (canonical)"
@@ -249,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check an EnsembleFile against a StateFile")
     p.add_argument("state", help="StateFile (JSON)")
     p.add_argument("ensemble", help="EnsembleFile (JSON)")
-    p.add_argument("--tol", type=float, default=CERT_TOL, help="residual tolerance")
+    p.add_argument("--tol", type=_positive_float, default=CERT_TOL, help="residual tolerance")
     p.add_argument(
         "--allow-unnormalized", action="store_true", help="rescale a non-unit trace on load"
     )

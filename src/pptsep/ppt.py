@@ -77,10 +77,7 @@ class PptReport:
     tol_used: float
 
     def entry(self, mask: SubsystemMask) -> MaskResult:
-        for e in self.entries:
-            if e.mask == mask:
-                return e
-        raise KeyError(f"no entry for mask {mask.label}")
+        return {e.mask: e for e in self.entries}[mask]
 
     def to_dict(self) -> dict:
         return {

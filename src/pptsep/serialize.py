@@ -3,7 +3,9 @@
 Complex numbers are stored as [re, im] pairs, matrices as row-major nested
 lists of those pairs.  Floats round-trip exactly (shortest-repr encoding on
 write, exact binary64 parse on read), so save -> load is the identity and a
-given object always serializes to the same bytes.
+given object always serializes to the same bytes.  The writer streams each
+array to the file row by row, and the bytes are those of
+json.dumps(document, indent=2) on the nested-list form plus a final newline.
 
 StateFile:    {"schema_version": "1", "kind": "state", "dims": [K, M, N],
                "matrix": [[[re, im], ...], ...], "metadata": {str: str}?}
@@ -28,16 +30,13 @@ from .linalg import TRACE_FLOOR, TripartiteDims, TripartiteState
 SCHEMA_VERSION = "1"
 
 
-def _to_pairs(arr) -> list:
-    """Nested lists with each complex entry as an [re, im] pair of Python floats."""
-    a = np.asarray(arr, dtype=complex)
-    return np.stack([a.real, a.imag], -1).tolist()
-
-
 def _pairs_to_complex(obj, name: str) -> np.ndarray:
-    arr = np.asarray(obj, dtype=float)
+    arr = np.asarray(obj)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{name}: entries must be numbers")
     if arr.ndim < 1 or arr.shape[-1] != 2:
         raise ValueError(f"{name}: complex entries must be [re, im] pairs")
+    arr = arr.astype(float, copy=False)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name}: non-finite entry")
     return arr[..., 0] + 1j * arr[..., 1]
@@ -58,7 +57,10 @@ def vector_from_json(obj, name: str = "vector") -> np.ndarray:
 
 
 def _load_document(path, kind: str) -> dict:
-    doc = json.loads(Path(path).read_text())
+    try:
+        doc = json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:
@@ -75,8 +77,61 @@ def _parse_dims(doc: dict, path) -> TripartiteDims:
     return TripartiteDims(*dims)
 
 
+def _write_pairs(out, vec: np.ndarray, indent: int) -> None:
+    """Write the [re, im] pairs of a complex vector as json list items at this indent."""
+    vals = vec.view(float).tolist()
+    if np.isfinite(vec).all():
+        spec = "%r"  # float.__repr__, the encoding json uses for finite floats
+    else:
+        spec, vals = "%s", [json.dumps(v) for v in vals]  # NaN, Infinity, -Infinity
+    pad, inner = " " * indent, " " * (indent + 2)
+    pair = f"{pad}[\n{inner}{spec},\n{inner}{spec}\n{pad}]"
+    out.write(",\n".join([pair] * len(vec)) % tuple(vals))
+
+
+def _write_array(out, arr: np.ndarray, indent: int) -> None:
+    """Write a complex array as json.dumps(indent=2) lays out its nested [re, im] lists.
+
+    indent is that of the line the opening bracket is written on.
+    """
+    if len(arr) == 0:
+        out.write("[]")
+        return
+    out.write("[\n")
+    if arr.ndim == 1:
+        _write_pairs(out, arr, indent + 2)
+    else:
+        for i, sub in enumerate(arr):
+            out.write((",\n" if i else "") + " " * (indent + 2))
+            _write_array(out, sub, indent + 2)
+    out.write("\n" + " " * indent + "]")
+
+
 def _dump(doc: dict, path) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    """Write doc, whose complex arrays are numpy arrays, as indented JSON.
+
+    The skeleton is json.dumps(doc, indent=2) with each array encoded as null;
+    every other value of a document is a string, a number or a container, so
+    a line that ends in null is exactly the place of the next array.
+    """
+    arrays = []
+
+    def hole(obj):
+        if not isinstance(obj, np.ndarray):
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        arrays.append(np.ascontiguousarray(obj, dtype=complex))
+
+    skeleton = json.dumps(doc, indent=2, default=hole)
+    arrays = iter(arrays)
+    with Path(path).open("w") as out:
+        for line in skeleton.split("\n"):
+            comma = line.endswith("null,")
+            if comma or line.endswith("null"):
+                out.write(line[: -5 if comma else -4])
+                _write_array(out, next(arrays), len(line) - len(line.lstrip(" ")))
+                out.write(",\n" if comma else "\n")
+            else:
+                out.write(line + "\n")
 
 
 def save_state(state: TripartiteState, path, metadata: dict | None = None) -> None:
@@ -85,7 +140,7 @@ def save_state(state: TripartiteState, path, metadata: dict | None = None) -> No
         "schema_version": SCHEMA_VERSION,
         "kind": "state",
         "dims": list(state.dims.as_tuple()),
-        "matrix": _to_pairs(state.rho),
+        "matrix": state.rho,
     }
     if metadata:
         doc["metadata"] = {str(k): str(v) for k, v in metadata.items()}
@@ -122,9 +177,9 @@ def save_ensemble(ensemble: SeparableEnsemble, path) -> None:
         "terms": [
             {
                 "p": float(t.p),
-                "vecA": _to_pairs(t.vec_a),
-                "vecB": _to_pairs(t.vec_b),
-                "vecC": _to_pairs(t.vec_c),
+                "vecA": t.vec_a,
+                "vecB": t.vec_b,
+                "vecC": t.vec_c,
             }
             for t in ensemble.terms
         ],
@@ -149,15 +204,17 @@ def load_ensemble(path) -> SeparableEnsemble:
         if not isinstance(rt, dict):
             raise ValueError(f"{path}: term {i} must be an object")
         try:
-            p = float(rt["p"])
+            p = np.asarray(rt["p"])
             vec_a = vector_from_json(rt["vecA"], f"{path}: term {i} vecA")
             vec_b = vector_from_json(rt["vecB"], f"{path}: term {i} vecB")
             vec_c = vector_from_json(rt["vecC"], f"{path}: term {i} vecC")
         except KeyError as e:
             raise ValueError(f"{path}: term {i} missing field {e}") from None
+        if p.ndim or p.dtype.kind not in "iuf":
+            raise ValueError(f"{path}: term {i} p must be a number")
         if vec_a.shape != (dims.k,) or vec_b.shape != (dims.m,) or vec_c.shape != (dims.n,):
             raise ValueError(f"{path}: term {i} vector shapes do not match dims")
-        terms.append(EnsembleTerm(p=p, vec_a=vec_a, vec_b=vec_b, vec_c=vec_c))
+        terms.append(EnsembleTerm(p=float(p), vec_a=vec_a, vec_b=vec_b, vec_c=vec_c))
     return SeparableEnsemble(dims=dims, terms=tuple(terms))
 
 
@@ -167,11 +224,11 @@ def save_canonical_form(form: CanonicalForm, path) -> None:
         "schema_version": SCHEMA_VERSION,
         "kind": "canonical_form",
         "dims": list(form.dims.as_tuple()),
-        "a_list": [_to_pairs(g) for g in form.a_list],
-        "b_list": [_to_pairs(g) for g in form.b_list],
-        "f": _to_pairs(form.f),
-        "local_u_a": _to_pairs(form.local_u_a),
-        "local_u_b": _to_pairs(form.local_u_b),
+        "a_list": form.a_list,
+        "b_list": form.b_list,
+        "f": form.f,
+        "local_u_a": form.local_u_a,
+        "local_u_b": form.local_u_b,
     }
     _dump(doc, path)
 
@@ -180,16 +237,17 @@ def load_canonical_form(path) -> CanonicalForm:
     """Read a FormFile."""
     doc = _load_document(path, "canonical_form")
     dims = _parse_dims(doc, path)
-    a_list = tuple(
-        matrix_from_json(g, f"{path}: a_list[{i}]") for i, g in enumerate(doc.get("a_list", []))
-    )
-    b_list = tuple(
-        matrix_from_json(g, f"{path}: b_list[{i}]") for i, g in enumerate(doc.get("b_list", []))
-    )
+
+    def matrices(key):
+        gens = doc.get(key, [])
+        if not isinstance(gens, list):
+            raise ValueError(f"{path}: {key} must be a list")
+        return tuple(matrix_from_json(g, f"{path}: {key}[{i}]") for i, g in enumerate(gens))
+
     return CanonicalForm(
         dims=dims,
-        a_list=a_list,
-        b_list=b_list,
+        a_list=matrices("a_list"),
+        b_list=matrices("b_list"),
         f=matrix_from_json(doc.get("f"), f"{path}: f"),
         local_u_a=matrix_from_json(doc.get("local_u_a"), f"{path}: local_u_a"),
         local_u_b=matrix_from_json(doc.get("local_u_b"), f"{path}: local_u_b"),

@@ -267,11 +267,63 @@ class TestVerify:
 
 
 @pytest.mark.parametrize(
-    "argv", [[], ["frobnicate"], ["decompose"]], ids=["no command", "unknown command", "no state"]
+    "argv",
+    [
+        pytest.param([], id="no command"),
+        pytest.param(["frobnicate"], id="unknown command"),
+        pytest.param(["decompose"], id="no state"),
+        *(
+            pytest.param(argv, id=" ".join(argv[:1] + argv[-2:]))
+            for argv in [
+                ["decompose", "s.json", "--samples", "-1"],
+                ["decompose", "s.json", "--seed", "-1"],
+                ["decompose", "s.json", "--tol", "nan"],
+                ["decompose", "s.json", "--tol", "0"],
+                ["check-ppt", "s.json", "--tol", "nan"],
+                ["check-ppt", "s.json", "--tol", "-1e-9"],
+                ["check-ppt", "s.json", "--tol", "abc"],
+                ["verify", "s.json", "e.json", "--tol", "inf"],
+                ["generate", "--kind", "npt", "--dims", "2", "2", "2", "--seed", "-3", "--out", "x"],
+            ]
+        ),
+    ],
 )
 def test_usage_error_exits_two(capsys, argv):
+    """Bad flag values are usage errors too: a tolerance must be positive and finite,
+    a seed or sample count non-negative."""
     assert main(argv) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "edited, edit, command",
+    [
+        ("ens.json", lambda doc: doc["terms"][0].update(p=[0.5]), "verify"),
+        ("ens.json", lambda doc: doc["terms"][0].update(vecA={"re": 1.0}), "verify"),
+        ("state.json", lambda doc: doc.update(matrix={}), "check-ppt"),
+    ],
+    ids=["p-list", "vector-object", "matrix-object"],
+)
+def test_wrong_element_type_exits_two(capsys, tmp_path, edited, edit, command):
+    state_path, ens_path = tmp_path / "state.json", tmp_path / "ens.json"
+    save_state(qubit_corner_state(0.3), state_path)
+    assert main(["decompose", str(state_path), "--out", str(ens_path)]) == 0
+    capsys.readouterr()
+    doc = json.loads((tmp_path / edited).read_text())
+    edit(doc)
+    (tmp_path / edited).write_text(json.dumps(doc))
+    files = [state_path, ens_path][: 2 if command == "verify" else 1]
+    code, out = run(capsys, command, *map(str, files))
+    assert code == 2
+    assert out is None
+
+
+def test_deeply_nested_file_exits_two(capsys, tmp_path):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100_000 + "]" * 100_000)
+    code, out = run(capsys, "check-ppt", str(p))
+    assert code == 2
+    assert out is None
 
 
 class TestStdoutDiscipline:

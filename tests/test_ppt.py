@@ -103,6 +103,13 @@ class TestPptReport:
             direct = float(np.linalg.eigvalsh(hermitize(partial_transpose(state, mask)))[0])
             assert abs(report.entry(mask).min_eigenvalue - direct) < 1e-10
 
+    def test_entry_looks_up_each_mask(self):
+        report = ppt_report(qubit_corner_state(0.3))
+        assert [report.entry(mask) for mask in ALL_MASKS] == list(report.entries)
+        partial = ppt.PptReport(report.entries[:4], report.overall_ppt, report.tol_used)
+        with pytest.raises(KeyError):
+            partial.entry(ALL_MASKS[-1])
+
     def test_complement_masks_share_spectra(self):
         state = gen_npt_control(TripartiteDims(2, 2, 3), p=0.3, seed=4)
         for mask in ALL_MASKS:

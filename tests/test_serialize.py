@@ -1,15 +1,25 @@
 """Tests for the JSON file formats: exact round trips and structural validation."""
 
 import json
+import runpy
+import tracemalloc
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pptsep import (
+    CanonicalForm,
+    EnsembleTerm,
     GenSpec,
     NormalizationError,
+    SeparableEnsemble,
     TripartiteDims,
+    TripartiteState,
     decompose,
     extract_canonical,
     gen_canonical_state,
@@ -210,6 +220,28 @@ class TestValidation:
                 "shapes do not match",
                 id="vector-shape",
             ),
+            pytest.param(load_state, state_doc(matrix={}), "numbers", id="object-matrix"),
+            pytest.param(
+                load_state, state_doc(matrix=[[["0.25", 0.0]] * 4] * 4), "numbers", id="strings"
+            ),
+            pytest.param(
+                load_state, state_doc(matrix=[[[None, 0.0]] * 4] * 4), "numbers", id="nulls"
+            ),
+            pytest.param(
+                load_ensemble, ensemble_doc([{**TERM, "vecA": {"re": 1}}]), "numbers", id="vec-obj"
+            ),
+            *(
+                pytest.param(load_ensemble, ensemble_doc([{**TERM, "p": p}]), "p must", id=name)
+                for name, p in [
+                    ("p-list", [1.0]), ("p-null", None), ("p-str", "1"), ("p-huge", 10**400)
+                ]
+            ),
+            pytest.param(
+                load_canonical_form,
+                {"schema_version": "1", "kind": "canonical_form", "dims": [2, 2, 1], "a_list": 5},
+                "a_list must be a list",
+                id="generator-list",
+            ),
         ],
     )
     def test_rejects_malformed_documents(self, tmp_path, load, doc, message):
@@ -217,3 +249,154 @@ class TestValidation:
         p.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=message):
             load(p)
+
+    def test_rejects_deep_nesting(self, tmp_path):
+        p = tmp_path / "deep.json"
+        p.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(ValueError, match="nested too deeply"):
+            load_state(p)
+
+
+def pairs(arr) -> list:
+    """The nested-list form of a complex array: each entry an [re, im] pair of floats."""
+    arr = np.asarray(arr, dtype=complex)
+    return np.stack([arr.real, arr.imag], -1).tolist()
+
+
+def json_dumps_bytes(doc: dict) -> bytes:
+    """What json.dumps(indent=2) writes for doc: the oracle of the streaming writer."""
+    return (json.dumps(doc, indent=2) + "\n").encode()
+
+
+# Signed zero, the smallest subnormal, both sides of repr's switch to exponent
+# notation (at 1e16 and below 1e-4), and floats with integer values.
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e16, 9999999999999998.0, 1e-5, 1e-4, 9.999999999999999e-05]
+SPECIAL += [1.0, -3.0, 2.0**53, 1e22, 0.1, 1 / 3]
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+FINITE = st.one_of(
+    st.sampled_from(SPECIAL),
+    st.integers(-(2**53), 2**53).map(float),
+    st.floats(-1e150, 1e150),
+)
+ANY_FLOAT = st.one_of(FINITE, st.sampled_from(NON_FINITE))
+
+
+def interleaved(values) -> np.ndarray:
+    """A complex vector holding each value once as a real and once as an imaginary part."""
+    return np.array([complex(re, im) for re, im in zip(values, values[::-1])])
+
+
+def complex_arrays(ndim):
+    """Complex arrays of this many axes, each of length 0 to 4, with any float parts."""
+    return hnp.arrays(
+        complex,
+        hnp.array_shapes(min_dims=ndim, max_dims=ndim, min_side=0, max_side=4),
+        elements=st.builds(complex, ANY_FLOAT, ANY_FLOAT),
+    )
+
+
+WRITER = settings(
+    derandomize=True,
+    deadline=None,
+    database=None,
+    max_examples=40,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+class TestStreamingWriter:
+    """Every file kind is written byte for byte as json.dumps(indent=2) would write it."""
+
+    @WRITER
+    @given(
+        upper=hnp.arrays(complex, (4, 4), elements=st.builds(complex, FINITE, FINITE)),
+        diag=st.lists(
+            st.one_of(st.sampled_from(SPECIAL[:3]), st.floats(-1e-3, 1e-3)), min_size=3, max_size=3
+        ),
+    )
+    @example(upper=interleaved(SPECIAL + [0.5]).reshape(4, 4), diag=[-0.0, 5e-324, 1e-5])
+    def test_state_file(self, tmp_path, upper, diag):
+        rho = np.triu(upper, 1)
+        lower = np.tril_indices(4, -1)
+        rho[lower] = rho.conj().T[lower]
+        rho[np.diag_indices(4)] = diag + [1.0 - sum(diag)]
+        state = TripartiteState(TripartiteDims(2, 2, 1), rho)
+        path = tmp_path / "state.json"
+        save_state(state, path, metadata={"note": "null"})
+        expected = {
+            "schema_version": "1",
+            "kind": "state",
+            "dims": [2, 2, 1],
+            "matrix": pairs(state.rho),
+            "metadata": {"note": "null"},
+        }
+        assert path.read_bytes() == json_dumps_bytes(expected)
+
+    @WRITER
+    @given(
+        vecs=st.lists(complex_arrays(1), min_size=4, max_size=4),
+        weights=st.lists(ANY_FLOAT, min_size=2, max_size=2),
+    )
+    @example(vecs=[interleaved(SPECIAL + NON_FINITE)] * 4, weights=NON_FINITE[::2])
+    def test_ensemble_file(self, tmp_path, vecs, weights):
+        terms = [EnsembleTerm(p, *vecs[i : i + 3]) for i, p in enumerate(weights)]
+        path = tmp_path / "ensemble.json"
+        save_ensemble(SeparableEnsemble(TripartiteDims(2, 2, 2), tuple(terms)), path)
+        expected = {
+            "schema_version": "1",
+            "kind": "ensemble",
+            "dims": [2, 2, 2],
+            "terms": [
+                {"p": t.p, "vecA": pairs(t.vec_a), "vecB": pairs(t.vec_b), "vecC": pairs(t.vec_c)}
+                for t in terms
+            ],
+        }
+        assert path.read_bytes() == json_dumps_bytes(expected)
+
+    @WRITER
+    @given(mats=st.lists(complex_arrays(2), min_size=5, max_size=5))
+    @example(mats=[interleaved(SPECIAL + NON_FINITE).reshape(3, 6)] * 5)
+    def test_canonical_form_file(self, tmp_path, mats):
+        form = CanonicalForm(TripartiteDims(2, 2, 1), (mats[0],), (mats[1],), *mats[2:])
+        path = tmp_path / "form.json"
+        save_canonical_form(form, path)
+        expected = {
+            "schema_version": "1",
+            "kind": "canonical_form",
+            "dims": [2, 2, 1],
+            "a_list": [pairs(mats[0])],
+            "b_list": [pairs(mats[1])],
+            "f": pairs(mats[2]),
+            "local_u_a": pairs(mats[3]),
+            "local_u_b": pairs(mats[4]),
+        }
+        assert path.read_bytes() == json_dumps_bytes(expected)
+
+    def test_unserializable_value_writes_no_file(self, tmp_path):
+        """A value json cannot encode fails before the file is opened, as with json.dumps."""
+        dims = TripartiteDims(np.int64(2), 2, 1)
+        path = tmp_path / "state.json"
+        with pytest.raises(TypeError, match="int64"):
+            save_state(TripartiteState(dims, np.eye(4) / 4), path)
+        assert not path.exists()
+
+    def test_large_state_streams_in_constant_memory(self, tmp_path):
+        """At (6,6,8) neither the nested lists nor the 6.5 MB text is ever held."""
+        a = np.random.default_rng(0).standard_normal((288, 2 * 288)).view(complex)
+        rho = a @ a.conj().T
+        state = TripartiteState(TripartiteDims(6, 6, 8), rho / rho.trace().real)
+        tracemalloc.start()
+        try:
+            save_state(state, tmp_path / "state.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        np.testing.assert_array_equal(load_state(tmp_path / "state.json").rho, state.rho)
+
+
+def test_golden_files_are_current(capsys):
+    """The goldens' generator, rerun into a temporary directory, writes the committed bytes."""
+    script = Path(__file__).parent / "golden" / "regenerate.py"
+    assert runpy.run_path(str(script))["main"](["--check"]) == 0
+    assert "are current" in capsys.readouterr().out
