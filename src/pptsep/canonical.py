@@ -34,6 +34,7 @@ from .linalg import (
     _conjugate_blocks,
     _family_scale,
     _rank_above_cutoff,
+    _sandwiches,
     block,
     conjugate_local,
     dagger,
@@ -113,10 +114,15 @@ class ExtractionDiagnostics:
     f_condition: float
 
 
-def _unit(dim: int, idx: int) -> np.ndarray:
-    e = np.zeros(dim, dtype=complex)
-    e[idx] = 1.0
-    return e
+def _unit_rows(z: np.ndarray) -> np.ndarray:
+    """Each row of z divided by its 2-norm, bit for bit as z[i] / np.linalg.norm(z[i]).
+
+    norm of a complex vector is sqrt(re . re + im . im), one dot per part; the
+    same dot calls run here per row, and the sqrt and division once for all
+    rows, without norm's per-call argument handling.
+    """
+    sq = np.array([re.dot(re) + im.dot(im) for re, im in zip(z.real, z.imag)])
+    return z / np.sqrt(sq).reshape(-1, 1)
 
 
 def find_witness(
@@ -139,44 +145,45 @@ def find_witness(
     keeps the downstream filter as well-conditioned as the state allows.
     Returns None when no candidate reaches rank N.
 
-    The sandwiches of all candidates are stacked and their singular values
-    taken in one batched SVD; the random pairs come from one block of draws
-    laid out so that candidates and choice are bit-identical to drawing and
-    testing them one at a time.
+    One chunked contraction (linalg._sandwiches) computes the sandwiches of
+    all corner and search candidates, and one batched SVD their singular
+    values; only an explicit pair goes through sandwich_ab, which validates
+    it.  The random pairs come from one block of draws laid out so that
+    candidates and choice are bit-identical to drawing and testing them one
+    at a time.
     """
     k, m, n = state.dims.as_tuple()
     if mode in ("corner", "search"):
-        candidates = [(_unit(k, i), _unit(m, j)) for i in range(k) for j in range(m)]
+        # (|i>, |j>) at scan position i * M + j.
+        eas = np.repeat(np.eye(k, dtype=complex), m, axis=0)
+        fbs = np.tile(np.eye(m, dtype=complex), (k, 1))
         if mode == "search":
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(97,)))
             # Columns [Re e_a | Im e_a | Re f_b | Im f_b] replay the stream of
             # four per-sample draws.  Each vector is normalized on its own:
             # a vectorized norm(axis=1) rounds differently in the last bit.
             draws = rng.standard_normal((samples, 2 * (k + m)))
-            eas = draws[:, :k] + 1j * draws[:, k : 2 * k]
-            fbs = draws[:, 2 * k : 2 * k + m] + 1j * draws[:, 2 * k + m :]
-            candidates += [
-                (ea / np.linalg.norm(ea), fb / np.linalg.norm(fb)) for ea, fb in zip(eas, fbs)
-            ]
+            eas = np.concatenate([eas, _unit_rows(draws[:, :k] + 1j * draws[:, k : 2 * k])])
+            fbs = np.concatenate(
+                [fbs, _unit_rows(draws[:, 2 * k : 2 * k + m] + 1j * draws[:, 2 * k + m :])]
+            )
+        sandwiches = _sandwiches(state, eas, fbs)
     elif mode == "explicit":
         if e_a is None or f_b is None:
             raise ValueError("explicit mode needs both e_a and f_b")
-        candidates = [(np.asarray(e_a, dtype=complex), np.asarray(f_b, dtype=complex))]
+        eas, fbs = [np.asarray(e_a, dtype=complex)], [np.asarray(f_b, dtype=complex)]
+        sandwiches = sandwich_ab(state, eas[0], fbs[0])[None]
     else:
         raise ValueError(f"unknown witness mode {mode!r}")
 
     # Singular values, not eigenvalues: an indefinite input state can give an
     # indefinite sandwich, whose rank and conditioning are set by |lambda|.
-    sv = np.linalg.svd(
-        np.stack([hermitize(sandwich_ab(state, ea, fb)) for ea, fb in candidates]),
-        compute_uv=False,
-    )
+    sv = np.linalg.svd(hermitize(sandwiches), compute_uv=False)
     full_rank = _rank_above_cutoff(sv, n) == n
     if not full_rank.any():
         return None
     best = int(np.argmax(np.where(full_rank, sv[:, -1], -np.inf)))
-    ea, fb = candidates[best]
-    return ProductWitness(e_a=ea, f_b=fb, sandwich_rank=n)
+    return ProductWitness(e_a=eas[best].copy(), f_b=fbs[best].copy(), sandwich_rank=n)
 
 
 def _is_basis_vector(v: np.ndarray) -> int | None:

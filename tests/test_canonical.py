@@ -1,8 +1,11 @@
 """Tests for witness search, corner rotation, and canonical-form extraction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import pptsep.canonical
 from pptsep import (
     CanonicalForm,
     DimensionMismatch,
@@ -33,6 +36,7 @@ from pptsep import (
     verify_kernel_vectors,
 )
 from pptsep.canonical import _completion_unitary
+from pptsep.linalg import SANDWICH_CHUNK_BYTES
 
 
 def unit(dim, idx):
@@ -132,10 +136,15 @@ class TestFindWitness:
     @pytest.mark.parametrize(
         "case",
         [(2, 2, 2, 0), (2, 2, 2, 1), (3, 3, 4, 0), (3, 3, 4, 3), (4, 4, 8, 1), (2, 3, 5, 2),
-         (2, 3, 5, 4), "shifts-literal", "diagonal", "indefinite"],
+         (2, 3, 5, 4), (6, 6, 8, 2), (4, 4, 6, 3), (2, 2, 8, 5), "shifts-literal", "diagonal",
+         "indefinite"],
     )
     def test_matches_per_candidate_reference(self, case, mode):
-        """Stacked search picks bit-for-bit the pair a per-candidate loop picks."""
+        """Stacked search picks bit-for-bit the pair a per-candidate loop picks.
+
+        In search mode the (6,6,8) state has 36 + 256 candidates in chunks of
+        28, so its last chunk is a partial one of 12.
+        """
         if case == "shifts-literal":
             state, seed = shifts_complement_state("literal"), 5
         elif case == "indefinite":
@@ -159,6 +168,51 @@ class TestFindWitness:
         assert got is not None and got.sandwich_rank == state.dims.n
         assert got.e_a.tobytes() == want[0].tobytes()
         assert got.f_b.tobytes() == want[1].tobytes()
+
+    def test_chunks_do_not_divide_the_candidates_at_668(self):
+        """The (6,6,8) reference case above ends in a partial chunk of a chunk within 1 MiB."""
+        k, m, n = 6, 6, 8
+        chunk = SANDWICH_CHUNK_BYTES // (16 * n * k * m * n)
+        assert (k * m + 256) % chunk != 0 and chunk * 16 * n * k * m * n <= 2**20
+
+    def test_search_peak_memory_is_bounded(self):
+        """The chunked contraction keeps the (6,6,8) search's traced peak below 2 MiB.
+
+        Unchunked, its (292, N, KM, N) GEMM result alone would be 10.8 MB.
+        """
+        state, _ = gen_canonical_state(GenSpec(dims=TripartiteDims(6, 6, 8), seed=2))
+        tracemalloc.start()
+        try:
+            w = find_witness(state, "search")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert w is not None and peak < 2 * 2**20
+
+    @pytest.mark.parametrize(
+        "mode, sandwich_calls", [("corner", 0), ("search", 0), ("explicit", 1)]
+    )
+    def test_one_stacked_svd_and_no_per_candidate_sandwich(self, monkeypatch, mode, sandwich_calls):
+        """Corner and search modes contract every candidate at once; only an
+        explicit pair goes through the validating sandwich_ab."""
+        state, _ = gen_canonical_state(GenSpec(dims=TripartiteDims(3, 3, 4), seed=0))
+        calls = {"sandwich_ab": 0, "svd": []}
+
+        def counted_sandwich(*args):
+            calls["sandwich_ab"] += 1
+            return sandwich_ab(*args)
+
+        real_svd = np.linalg.svd
+
+        def counted_svd(a, *args, **kwargs):
+            calls["svd"].append(np.shape(a))
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(pptsep.canonical, "sandwich_ab", counted_sandwich)
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        find_witness(state, mode, samples=40, e_a=unit(3, 0), f_b=unit(3, 0))
+        candidates = {"corner": 9, "search": 9 + 40, "explicit": 1}[mode]
+        assert calls == {"sandwich_ab": sandwich_calls, "svd": [(candidates, 4, 4)]}
 
 
 class TestRotateToCorner:

@@ -18,7 +18,7 @@ from pptsep import (
     save_state,
     verify_ensemble,
 )
-from pptsep.cli import main
+from pptsep.cli import MAX_SAMPLES, build_parser, main
 
 
 def run(capsys, *argv):
@@ -121,6 +121,18 @@ class TestDecompose:
     def test_bad_explicit_vector_exits_two(self, capsys, ppt_state_file, ea):
         code, doc = run(
             capsys, "decompose", ppt_state_file, "--witness", "explicit", "--ea", ea, "--fb", "1,0"
+        )
+        assert code == 2
+        assert doc is None
+
+    @pytest.mark.parametrize(
+        "ea, fb", [("1,0,0", "1,0"), ("1,0", "1"), ("1", "1,0,0")], ids=["ea", "fb", "both"]
+    )
+    def test_explicit_vector_of_wrong_length_exits_two(self, capsys, ppt_state_file, ea, fb):
+        """A vector that does not fit the state's dims is a usage error, like one that does
+        not parse."""
+        code, doc = run(
+            capsys, "decompose", ppt_state_file, "--witness", "explicit", "--ea", ea, "--fb", fb
         )
         assert code == 2
         assert doc is None
@@ -295,14 +307,26 @@ def test_usage_error_exits_two(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
+def test_samples_above_the_bound_is_a_usage_error(capsys):
+    """--samples is refused by argparse above MAX_SAMPLES, before any file is read."""
+    argv = ["decompose", "s.json", "--samples"]
+    assert build_parser().parse_args(argv + [str(MAX_SAMPLES)]).samples == MAX_SAMPLES
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv + [str(MAX_SAMPLES + 1)])
+    assert exc.value.code == 2
+    assert f"at most {MAX_SAMPLES}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "edited, edit, command",
     [
         ("ens.json", lambda doc: doc["terms"][0].update(p=[0.5]), "verify"),
         ("ens.json", lambda doc: doc["terms"][0].update(vecA={"re": 1.0}), "verify"),
         ("state.json", lambda doc: doc.update(matrix={}), "check-ppt"),
+        ("state.json", lambda doc: doc["matrix"][0][0].__setitem__(1, False), "check-ppt"),
+        ("ens.json", lambda doc: doc["terms"][0]["vecC"][0].__setitem__(0, True), "verify"),
     ],
-    ids=["p-list", "vector-object", "matrix-object"],
+    ids=["p-list", "vector-object", "matrix-object", "bool-in-matrix", "bool-in-vector"],
 )
 def test_wrong_element_type_exits_two(capsys, tmp_path, edited, edit, command):
     state_path, ens_path = tmp_path / "state.json", tmp_path / "ens.json"

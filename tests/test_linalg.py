@@ -21,6 +21,7 @@ from pptsep import (
     block,
     compose_index,
     conjugate_local,
+    dagger,
     hermitize,
     identity_corner_state,
     kron,
@@ -205,6 +206,15 @@ class TestSandwich:
         e = np.array([0.6, 0.8], dtype=complex)
         s = sandwich_ab(state, e, e)
         assert np.linalg.eigvalsh((s + s.conj().T) / 2).min() > -1e-14
+
+
+def test_dagger_and_hermitize_act_on_each_matrix_of_a_stack():
+    """On a stack they give, bit for bit, what they give on each matrix alone."""
+    rng = np.random.default_rng(11)
+    stack = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+    for f in (dagger, hermitize):
+        assert f(stack).tobytes() == np.stack([f(x) for x in stack]).tobytes()
+    assert dagger(stack[0]).tobytes() == stack[0].conj().T.tobytes()
 
 
 class TestNumericRank:

@@ -230,6 +230,19 @@ class TestValidation:
             pytest.param(
                 load_ensemble, ensemble_doc([{**TERM, "vecA": {"re": 1}}]), "numbers", id="vec-obj"
             ),
+            pytest.param(
+                load_state,
+                state_doc(matrix=[[[True, 0.0]] + [[0.0, 0.0]] * 3] + [[[0.0, 0.0]] * 4] * 3),
+                "numbers",
+                id="bool-in-matrix",
+            ),
+            pytest.param(
+                load_ensemble,
+                ensemble_doc([{**TERM, "vecB": [[1.0, False], [0.0, 0.0]]}]),
+                "numbers",
+                id="bool-in-vector",
+            ),
+            pytest.param(load_state, state_doc(dims=[2, 2, True]), "numbers", id="bool-in-dims"),
             *(
                 pytest.param(load_ensemble, ensemble_doc([{**TERM, "p": p}]), "p must", id=name)
                 for name, p in [
@@ -249,6 +262,12 @@ class TestValidation:
         p.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=message):
             load(p)
+
+    def test_true_and_false_in_strings_are_not_entries(self, tmp_path):
+        """The words may appear in keys and strings; only bool entries are refused."""
+        p = tmp_path / "file.json"
+        p.write_text(json.dumps(state_doc(metadata={"true": "false", "flag": True})))
+        np.testing.assert_array_equal(load_state(p).rho, np.eye(4) / 4)
 
     def test_rejects_deep_nesting(self, tmp_path):
         p = tmp_path / "deep.json"
