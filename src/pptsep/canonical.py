@@ -268,37 +268,65 @@ def _kernel_residual(rho_f: np.ndarray, form: CanonicalForm) -> float:
 
 
 def _commutator_max(gens: list[np.ndarray]) -> float:
-    """Largest normality or (cross-)commutation defect over the family."""
-    worst = 0.0
-    for i, g in enumerate(gens):
-        worst = max(worst, float(np.linalg.norm(g @ dagger(g) - dagger(g) @ g)))
-        for h in gens[i + 1 :]:
-            worst = max(worst, float(np.linalg.norm(g @ h - h @ g)))
-            worst = max(worst, float(np.linalg.norm(g @ dagger(h) - dagger(h) @ g)))
-    return worst
+    """Largest normality or (cross-)commutation defect over the family.
 
-
-def _admit(state: TripartiteState) -> None:
-    """The input checks of the construction: one eigendecomposition, three certificates.
-
-    _ppt_admission decomposes only the unmasked state.  The rank is read off
-    its spectrum with numeric_rank's rule (the singular values of a Hermitian
-    matrix are |lambda|), so no SVD runs, and its smallest eigenvalue gives
-    the verdict for mask "none".  The A, B and C partial transposes need only
-    a yes/no: _psd_verdict settles each by shifted Cholesky factorizations
-    and falls back to eigvalsh only near the threshold, with the same verdict
-    as ppt_report at the same PPT_TOL * trace(rho) tolerance.  Raises
-    RankMismatch unless the rank is N, then NotPptError naming every failing
-    mask (as ppt_report would).  Both verdicts are invariant under local
-    unitaries, so they may be taken before or after a rotation to the corner.
+    The Frobenius norms of G G† - G† G for every member and of
+    G_i G_j - G_j G_i and G_i G_j† - G_j† G_i for every pair i < j, formed
+    by batched products over the stacked family and one stacked norm.
     """
+    g = np.asarray(gens, dtype=complex)
+    gd = dagger(g)
+    i, j = np.triu_indices(len(g), 1)
+    defects = np.concatenate(
+        [
+            g @ gd - gd @ g,
+            g[i] @ g[j] - g[j] @ g[i],
+            g[i] @ gd[j] - gd[j] @ g[i],
+        ]
+    )
+    return float(np.linalg.norm(defects, axis=(-2, -1)).max(initial=0.0))
+
+
+def _require_rank(state: TripartiteState, spectrum: np.ndarray | None = None) -> None:
+    """Raise RankMismatch unless the state's numeric rank is N.
+
+    The rank is read off the state's Hermitian spectrum (computed here when
+    not given) with numeric_rank's rule, since the singular values of a
+    Hermitian matrix are |lambda|; no SVD runs.  Raised from None: when it
+    replaces a later refusal, that refusal is not chained to it.
+    """
+    if spectrum is None:
+        spectrum = np.linalg.eigvalsh(state.rho)
     n = state.dims.n
-    spectrum, failing = _ppt_admission(state)
     state_rank = _rank_above_cutoff(np.abs(spectrum), state.side)
     if state_rank != n:
-        raise RankMismatch(f"state rank {state_rank} != N = {n}; canonical form does not apply")
+        raise RankMismatch(
+            f"state rank {state_rank} != N = {n}; canonical form does not apply"
+        ) from None
+
+
+def _admit(state: TripartiteState) -> np.ndarray | None:
+    """The PPT gate of the construction: four Cholesky certificates, a spectrum on refusal.
+
+    _ppt_admission settles masks A, B, C and "none" by shifted Cholesky
+    factorizations (_psd_verdict), with the same verdict as ppt_report at the
+    same PPT_TOL * trace(rho) tolerance.  When all four are certified, no
+    eigendecomposition runs, the rank is not tested here, and None is
+    returned: a caller that goes on to certify an N-term ensemble has shown
+    that rho lies within its tol of rank N, and one that meets a refusal
+    first tests the rank with _require_rank.  Otherwise the state's one
+    spectrum gives the rank and mask "none": RankMismatch unless the rank is
+    N, then NotPptError naming every failing mask (as ppt_report would).  A
+    spectrum that passes both is returned, as the rank already tested.  Both
+    verdicts are invariant under local unitaries, so they may be taken before
+    or after a rotation to the corner.
+    """
+    spectrum, failing = _ppt_admission(state)
+    if spectrum is not None:
+        _require_rank(state, spectrum)
     if failing:
         raise NotPptError(f"state is not PPT (failing masks: {', '.join(failing)})")
+    return spectrum
 
 
 def _extract_admitted(
@@ -363,9 +391,9 @@ def extract_canonical(
     """Extract the canonical form of a rank-N PPT state with invertible corner.
 
     Checks, in order: global rank == N (RankMismatch), PPT across all masks
-    (NotPptError), both from one Hermitian eigendecomposition of the state
-    and a Cholesky certificate per partial transpose (see _admit), then
-    corner rank == N (RankMismatch).  After
+    (NotPptError), both from a Cholesky certificate per mask and one
+    Hermitian eigendecomposition of the state (see _admit and
+    _require_rank), then corner rank == N (RankMismatch).  After
     filtering, the generators are read from the last block row and the
     structural claim is validated globally: the filtered state must match
     T†T within tol (relative), and the generator family must be normal and
@@ -374,7 +402,8 @@ def extract_canonical(
     the block-consistency gap delta_norm both come from the one residual
     matrix rho_f - T†T.  Returns the form together with diagnostics.
     """
-    _admit(state)
+    if _admit(state) is None:
+        _require_rank(state)
     return _extract_admitted(state, tol)
 
 

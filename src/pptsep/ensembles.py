@@ -25,12 +25,14 @@ from .errors import (
     DegeneracyUnresolved,
     DimensionMismatch,
     NoWitness,
+    PptSepError,
 )
 from .canonical import (
     CanonicalForm,
     _admit,
     _commutator_max,
     _extract_admitted,
+    _require_rank,
     find_witness,
     rotate_to_corner,
 )
@@ -81,10 +83,19 @@ class SeparableEnsemble:
     terms: tuple[EnsembleTerm, ...]
 
     def reconstruct(self) -> np.ndarray:
-        """Sum the terms back into a density matrix: (W * p) W† for the product vectors W."""
-        w = np.array(
-            [np.kron(np.kron(t.vec_a, t.vec_b), t.vec_c) for t in self.terms], dtype=complex
-        ).reshape(-1, self.dims.total)
+        """Sum the terms back into a density matrix: (W * p) W† for the product vectors W.
+
+        Row n of W is vec_a (x) vec_b (x) vec_c of term n, built for all terms
+        by one broadcast that forms the products in np.kron's order.
+        """
+        k, m, n = self.dims.as_tuple()
+        a, b, c = (
+            np.array([getattr(t, name) for t in self.terms], dtype=complex).reshape(-1, size)
+            for name, size in (("vec_a", k), ("vec_b", m), ("vec_c", n))
+        )
+        w = (a[:, :, None, None] * b[:, None, :, None] * c[:, None, None, :]).reshape(
+            -1, self.dims.total
+        )
         p = np.array([t.p for t in self.terms], dtype=float)
         return (w.T * p) @ w.conj()
 
@@ -250,11 +261,17 @@ def decompose(
 ) -> SeparableEnsemble:
     """Full pipeline: witness, rotation, canonical form, certified product ensemble.
 
-    The input is checked once, before any witness is sought: one Hermitian
-    eigendecomposition gives its rank, and that spectrum plus a Cholesky
-    certificate per partial transpose give its PPT verdict (see
-    canonical._admit), both invariant under the local rotation that follows.
-    Refusals come in this order:
+    The input is admitted before any witness is sought by four shifted
+    Cholesky certificates, one per mask none, A, B and C (see
+    canonical._admit), invariant under the local rotation that follows.  On
+    the success path no eigendecomposition of the state runs: the rank
+    precondition is "within tol of rank N", the certificate's own standard.
+    By Eckart-Young-Mirsky, the certified N-term ensemble bounds the
+    eigenvalues of rho beyond the N-th, (sum_{i>N} lambda_i²)^{1/2} <=
+    tol * ||rho||_F.  The state's spectrum, and with it the rank test, is
+    computed only when a certificate fails or a later stage refuses, and a
+    rank other than N then takes the refusal's place.  Refusals come in
+    this order:
 
     1. RankMismatch: the global rank differs from N (the construction does
        not apply);
@@ -269,20 +286,27 @@ def decompose(
 
     The returned ensemble has been verified by reconstruction at tol.
     """
-    _admit(state)
-    w = find_witness(state, witness, samples=samples, seed=seed, e_a=e_a, f_b=f_b)
-    if w is None:
-        raise NoWitness("no product witness with a full-rank sandwich block was found")
-    rotated, u_a, u_b = rotate_to_corner(state, w)
-    form, _diag = _extract_admitted(rotated, tol)
-    form = replace(form, local_u_a=u_a, local_u_b=u_b)
-    ensemble = ensemble_from_form(form, tol=tol, seed=seed)
-    # The public check gives the verdict; the failed invariants are listed
-    # again only on the refusal path, for the message.
-    _, ok = verify_ensemble(state, ensemble, tol=tol)
-    if not ok:
-        _, failures = _certification_failures(state, ensemble, tol)
-        raise CertificationFailure(f"candidate ensemble failed certification: {'; '.join(failures)}")
+    spectrum = _admit(state)
+    try:
+        w = find_witness(state, witness, samples=samples, seed=seed, e_a=e_a, f_b=f_b)
+        if w is None:
+            raise NoWitness("no product witness with a full-rank sandwich block was found")
+        rotated, u_a, u_b = rotate_to_corner(state, w)
+        form, _diag = _extract_admitted(rotated, tol)
+        form = replace(form, local_u_a=u_a, local_u_b=u_b)
+        ensemble = ensemble_from_form(form, tol=tol, seed=seed)
+        # The public check gives the verdict; the failed invariants are listed
+        # again only on the refusal path, for the message.
+        _, ok = verify_ensemble(state, ensemble, tol=tol)
+        if not ok:
+            _, failures = _certification_failures(state, ensemble, tol)
+            raise CertificationFailure(
+                f"candidate ensemble failed certification: {'; '.join(failures)}"
+            )
+    except PptSepError:
+        if spectrum is None:  # a spectrum from _admit has passed the rank test
+            _require_rank(state)
+        raise
     return ensemble
 
 

@@ -333,10 +333,12 @@ def conjugate_local(
     d = KMN, against O(d³) for the dense product; a factor left as None
     costs no product at all.  When U_A ⊗ U_B is exactly a permutation matrix
     (as for every computational-basis witness), it moves whole blocks, so it
-    is applied as one row and column gather: O(d²) and no arithmetic.  The
-    GEMM products leave a rounding-size anti-Hermitian part; the returned
-    state is built by the validating constructor, which keeps the Hermitian
-    part only.
+    is applied as one row and column gather: O(d²) and no arithmetic.  When
+    that permutation is the identity and U_C is None, the input state itself
+    is returned, as the gather and the constructor would reproduce it bit
+    for bit.  The GEMM products leave a rounding-size anti-Hermitian part;
+    the returned state is built by the validating constructor, which keeps
+    the Hermitian part only.
     """
     k, m, n = state.dims.as_tuple()
     km, d = k * m, state.side
@@ -347,6 +349,8 @@ def conjugate_local(
         u_ab = kron(u_a, u_b)
         perm = _permutation_of(u_ab)
         if perm is not None:
+            if u_c is None and np.array_equal(perm, np.arange(km)):
+                return state
             idx = (perm[:, None] * n + np.arange(n)).ravel()
             rho = rho[np.ix_(idx, idx)]
         else:

@@ -5,8 +5,10 @@ masks, but only four matrices are examined: transposing a subsystem set and
 transposing its complement give matrices that are transposes of each other,
 hence share a spectrum.  The verdict for {B, C} is therefore read off the
 {A} mask, and so on.  The report takes the four spectra; the admission gate
-of the canonical form needs only yes/no for the masked ones, and settles
-those by Cholesky certificates (_psd_verdict) where that is provably exact.
+of the canonical form needs only yes/no for all four, and settles each by
+shifted Cholesky certificates (_psd_verdict) where that is provably exact.
+It decomposes the state itself only when a certificate fails or cannot
+decide, and then hands that one spectrum on for the rank test.
 
 Every matrix examined here is exactly Hermitian without a further projection:
 TripartiteState stores the Hermitian part of its input, and a partial
@@ -125,25 +127,35 @@ def _by_mask(values: list) -> list:
     return [of[m] if m in of else of[m.complement()] for m in ALL_MASKS]
 
 
-def _ppt_admission(state: TripartiteState) -> tuple[np.ndarray, list[str]]:
-    """The ascending spectrum of rho, and the masks ppt_report would fail, in its order.
+def _ppt_admission(state: TripartiteState) -> tuple[np.ndarray | None, list[str]]:
+    """The masks ppt_report would fail, in its order, and rho's spectrum if it was needed.
 
-    Only the unmasked state is decomposed; masks A, B and C are settled by
-    _psd_verdict at ppt_report's default tolerance.  The matrices live only
-    in this frame, so a caller that raises on the result does not keep them
-    alive through its traceback.
+    Masks A, B and C are settled by _psd_verdict at ppt_report's default
+    tolerance, then mask "none" by the same Cholesky bracket on rho itself.
+    When all four are certified PSD, no eigendecomposition runs and the
+    spectrum is None.  Otherwise (a failed verdict, or a bracket on rho that
+    cannot decide) rho is decomposed once: its smallest eigenvalue settles
+    mask "none", and its ascending spectrum is returned for the caller's rank
+    test.  The matrices live only in this frame, so a caller that raises on
+    the result does not keep them alive through its traceback.
     """
-    spectrum = np.linalg.eigvalsh(state.rho)
     tol = _default_tol(state)
     norm_f = float(np.linalg.norm(state.rho))
     # Each partial transpose is a temporary of its own verdict, so one KMN x KMN
     # copy is alive at a time.  With all three alive at once, glibc can hand the
     # freed memory back to the OS after every call and fault it in again on the
     # next: about 700 minor page faults per NotPptError refusal at (4,4,8).
-    passed = [float(spectrum[0]) >= -tol] + [
+    passed = [
         _psd_verdict(_transpose_subsystems(state.rho, state.dims, m), tol, norm_f)
         for m in ALL_MASKS[1:4]
     ]
+    # A failed mask needs the spectrum for the rank test anyway, so rho's own
+    # bracket runs only while every masked verdict has passed; a bracket that
+    # fails or cannot decide (None) leaves the verdict to that spectrum.
+    if all(passed) and _psd_certificate(state.rho, tol, norm_f):
+        return None, []
+    spectrum = np.linalg.eigvalsh(state.rho)
+    passed.insert(0, float(spectrum[0]) >= -tol)
     return spectrum, [mask.label for mask, ok in zip(ALL_MASKS, _by_mask(passed)) if not ok]
 
 
@@ -189,6 +201,14 @@ def _psd_verdict(x: np.ndarray, tol: float, norm_f: float) -> bool:
     for a strongly indefinite input) the bracket proves nothing and eigvalsh
     decides straight away.
     """
+    verdict = _psd_certificate(x, tol, norm_f)
+    if verdict is None:
+        return bool(np.linalg.eigvalsh(x)[0] >= -tol)
+    return verdict
+
+
+def _psd_certificate(x: np.ndarray, tol: float, norm_f: float) -> bool | None:
+    """The Cholesky bracket of _psd_verdict: its verdict, or None where it cannot decide."""
     d = len(x)
     eps = np.finfo(float).eps
     c = d * (d + 1) * eps / (1 - (d + 1) * eps)
@@ -198,4 +218,4 @@ def _psd_verdict(x: np.ndarray, tol: float, norm_f: float) -> bool:
             return True
         if not _cholesky_succeeds(x, 1.5 * tol):
             return False
-    return bool(np.linalg.eigvalsh(x)[0] >= -tol)
+    return None

@@ -35,8 +35,8 @@ from pptsep import (
     shifts_complement_state,
     verify_kernel_vectors,
 )
-from pptsep.canonical import _completion_unitary
-from pptsep.linalg import SANDWICH_CHUNK_BYTES
+from pptsep.canonical import _commutator_max, _completion_unitary
+from pptsep.linalg import SANDWICH_CHUNK_BYTES, _permutation_of, dagger
 
 
 def unit(dim, idx):
@@ -232,6 +232,32 @@ class TestRotateToCorner:
         np.testing.assert_array_equal(u_a, np.eye(2))
         np.testing.assert_array_equal(u_b, np.eye(2))
 
+    @pytest.mark.parametrize(
+        "mode,seed", [("corner", 1), ("corner", 0), ("search", 0), ("search", 6), ("explicit", 0)]
+    )
+    def test_rotated_state_is_bit_identical_to_the_gather_or_gemm(self, mode, seed):
+        """Every witness kind rotates to the bytes that the permutation gather, or
+        the two GEMMs, and the validating constructor give; an identity rotation
+        (seed 1's corner witness, the explicit corner pair) returns the state itself."""
+        dims = TripartiteDims(3, 3, 4)
+        k, m, n = dims.as_tuple()
+        state, _ = gen_canonical_state(GenSpec(dims=dims, seed=seed))
+        w = find_witness(state, mode, e_a=unit(k, k - 1), f_b=unit(m, m - 1))
+        rotated, u_a, u_b = rotate_to_corner(state, w)
+        u_ab = np.kron(u_a, u_b)
+        perm = _permutation_of(u_ab)
+        if perm is not None:
+            idx = (perm[:, None] * n + np.arange(n)).ravel()
+            rho = state.rho[np.ix_(idx, idx)]
+        else:
+            d = state.side
+            left = (u_ab @ state.rho.reshape(k * m, -1)).reshape(d, d)
+            rho = dagger((u_ab @ dagger(left).reshape(k * m, -1)).reshape(d, d))
+        assert rotated.rho.tobytes() == TripartiteState(dims, rho).rho.tobytes()
+        identity = perm is not None and np.array_equal(perm, np.arange(k * m))
+        assert (rotated is state) == identity
+        assert identity == ((mode, seed) in {("corner", 1), ("explicit", 0)})
+
     def test_general_witness_unitary_and_spectrum_preserving(self):
         dims = TripartiteDims(3, 4, 2)
         state, _ = gen_canonical_state(GenSpec(dims=dims, seed=3))
@@ -247,6 +273,34 @@ class TestRotateToCorner:
         np.testing.assert_allclose(
             np.linalg.eigvalsh(rotated.rho), np.linalg.eigvalsh(state.rho), atol=1e-12
         )
+
+
+def reference_commutator_max(gens):
+    """The normality and pair commutation defects, one product at a time."""
+    worst = 0.0
+    for i, g in enumerate(gens):
+        worst = max(worst, float(np.linalg.norm(g @ dagger(g) - dagger(g) @ g)))
+        for h in gens[i + 1 :]:
+            worst = max(worst, float(np.linalg.norm(g @ h - h @ g)))
+            worst = max(worst, float(np.linalg.norm(g @ dagger(h) - dagger(h) @ g)))
+    return worst
+
+
+class TestCommutatorMax:
+    @pytest.mark.parametrize("count,n", [(1, 3), (2, 4), (10, 8)])
+    @pytest.mark.parametrize("normal", [True, False])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_the_per_pair_loop(self, count, n, normal, seed):
+        rng = np.random.default_rng(seed)
+        gens = []
+        for _ in range(count):
+            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            if normal:
+                u = haar_unitary(n, rng)
+                g = u @ np.diag(np.diag(g)) @ dagger(u)
+            gens.append(g)
+        want = reference_commutator_max(gens)
+        assert _commutator_max(gens) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 class TestExtractCanonical:

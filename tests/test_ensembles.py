@@ -26,6 +26,7 @@ from pptsep import (
     gen_commuting_family,
     haar_unitary,
     identity_corner_state,
+    numeric_rank,
     ppt_report,
     qubit_corner_state,
     shifts_complement_state,
@@ -195,15 +196,37 @@ class TestDecomposeExamples:
         ids=["search", "explicit"],
     )
     def test_one_set_of_spectra_per_decomposition(self, monkeypatch, kwargs):
-        """decompose runs 1 eigvalsh, 3 Cholesky and no SVD or eigh on KMN x KMN matrices.
+        """decompose runs 4 Cholesky and no eigvalsh, SVD or eigh on KMN x KMN matrices.
 
-        The state's spectrum gives its rank and mask "none"; each of masks A,
-        B and C is certified PSD by one Cholesky factorization.
+        Each of masks none, A, B and C is certified PSD by one Cholesky
+        factorization; the state's spectrum is never needed on success.
         """
         state, _ = gen_canonical_state(GenSpec(dims=TripartiteDims(3, 3, 4), seed=2))
         counts = count_full_size_calls(monkeypatch, state.side)
         decompose(state, **kwargs)
-        assert counts == {"eigvalsh": 1, "cholesky": 3}
+        assert counts == {"cholesky": 4}
+
+    @pytest.mark.parametrize("mode", ["search", "corner"])
+    def test_rank_refusal_decomposes_the_state_once(self, monkeypatch, mode):
+        """A PPT state of rank 4 passes the four certificates, and a later refusal
+        is replaced by RankMismatch from the one fallback spectrum."""
+        state = shifts_complement_state()
+        counts = count_full_size_calls(monkeypatch, state.side)
+        with pytest.raises(RankMismatch) as info:
+            decompose(state, witness=mode)
+        assert str(info.value) == "state rank 4 != N = 2; canonical form does not apply"
+        assert info.value.__suppress_context__
+        assert counts == {"cholesky": 4, "eigvalsh": 1}
+
+    def test_no_witness_refusal_decomposes_the_state_once(self, monkeypatch):
+        """A rank-N state with no corner witness keeps NoWitness after the rank test."""
+        rho = np.zeros((8, 8), dtype=complex)
+        rho[0, 0] = rho[7, 7] = 0.5
+        state = TripartiteState(TripartiteDims(2, 2, 2), rho)
+        counts = count_full_size_calls(monkeypatch, state.side)
+        with pytest.raises(NoWitness):
+            decompose(state, witness="corner")
+        assert counts == {"cholesky": 4, "eigvalsh": 1}
 
     @pytest.mark.parametrize("mode", ["search", "corner"])
     def test_npt_refusal_decomposes_only_the_state(self, monkeypatch, bell_mixture, mode):
@@ -230,6 +253,34 @@ class TestDecomposeExamples:
                     if isinstance(item, np.ndarray) and item.shape == (side, side):
                         assert item is bell_mixture.rho
             tb = tb.tb_next
+
+
+def near_rank_n_state(dims, seed, eps):
+    """rho_eps = (1 - eps) rho + eps |v><v|: a generated rank-N rho and a random unit v."""
+    state, _ = gen_canonical_state(GenSpec(dims=TripartiteDims(*dims), seed=seed))
+    rng = np.random.default_rng([seed, 7])
+    v = rng.standard_normal(state.side) + 1j * rng.standard_normal(state.side)
+    v /= np.linalg.norm(v)
+    return TripartiteState(state.dims, (1 - eps) * state.rho + eps * np.outer(v, v.conj()))
+
+
+class TestRankBoundary:
+    """On success the rank precondition is "within tol of rank N"."""
+
+    def test_state_within_tol_of_rank_n_is_certified(self):
+        """Numeric rank N + 1, so the rank test alone would refuse it, yet it certifies."""
+        state = near_rank_n_state((3, 3, 4), 0, 1e-11)
+        assert numeric_rank(state.rho) == 5
+        spectrum = np.linalg.eigvalsh(state.rho)[::-1]
+        ens = decompose(state)
+        _, ok = verify_ensemble(state, ens)
+        assert ok and len(ens.terms) == 4
+        # Eckart-Young-Mirsky: the certified 4-term ensemble bounds the tail.
+        assert np.linalg.norm(spectrum[4:]) <= 1e-8 * np.linalg.norm(state.rho)
+
+    def test_state_beyond_tol_of_rank_n_is_refused(self):
+        with pytest.raises(RankMismatch, match="state rank 5 != N = 4"):
+            decompose(near_rank_n_state((3, 3, 4), 0, 1e-7))
 
 
 class TestDecomposeRandomStates:
@@ -373,6 +424,15 @@ class TestVerifyEnsemble:
         np.testing.assert_allclose(ens.reconstruct(), want, rtol=0, atol=1e-15)
         empty = SeparableEnsemble(dims=ens.dims, terms=())
         np.testing.assert_array_equal(empty.reconstruct(), np.zeros((30, 30)))
+
+    @pytest.mark.parametrize("dims", [(2, 3, 5), (4, 4, 8)])
+    def test_reconstruct_builds_the_per_term_kron_products(self, dims):
+        """The broadcast product vectors equal np.kron's, bit for bit."""
+        state, _ = gen_canonical_state(GenSpec(dims=TripartiteDims(*dims), seed=12))
+        ens = decompose(state)
+        w = np.array([np.kron(np.kron(t.vec_a, t.vec_b), t.vec_c) for t in ens.terms])
+        p = np.array([t.p for t in ens.terms])
+        np.testing.assert_array_equal(ens.reconstruct(), (w.T * p) @ w.conj())
 
     def test_dimension_mismatch(self):
         state, _ = gen_canonical_state(GenSpec(dims=TripartiteDims(2, 2, 2), seed=11))

@@ -243,13 +243,16 @@ def count_verdict_work(monkeypatch, side):
     return counts
 
 
-# Work of one gate run per branch of the A and B verdicts (which share one
-# spectrum); mask C is PSD and passes by Cholesky, the state takes one eigvalsh.
+# Work of the masked verdicts per branch of the A and B verdicts (which share
+# one spectrum); mask C is PSD and passes by Cholesky.
 BRANCH_COUNTS = {
-    "cholesky-pass": {"cholesky-ok": 3, "eigvalsh": 1},
-    "eigvalsh": {"cholesky-fails": 2, "cholesky-ok": 3, "eigvalsh": 3},
-    "cholesky-fail": {"cholesky-fails": 4, "cholesky-ok": 1, "eigvalsh": 1},
+    "cholesky-pass": {"cholesky-ok": 3},
+    "eigvalsh": {"cholesky-fails": 2, "cholesky-ok": 3, "eigvalsh": 2},
+    "cholesky-fail": {"cholesky-fails": 4, "cholesky-ok": 1},
 }
+# Then the state's own work: one Cholesky certificate when every masked
+# verdict passed, else one eigvalsh, whose spectrum also gives the rank.
+STATE_COUNTS = {True: {"cholesky-ok": 1}, False: {"eigvalsh": 1}}
 
 
 class TestAdmissionVerdicts:
@@ -280,7 +283,7 @@ class TestAdmissionVerdicts:
             assert (expected is None) == (c < 1)
         counts = count_verdict_work(monkeypatch, state.side)
         assert gate_outcome(state) == expected
-        assert counts == BRANCH_COUNTS[branch]
+        assert counts == Counter(BRANCH_COUNTS[branch]) + Counter(STATE_COUNTS[expected is None])
 
     def test_large_norm_skips_the_certificate(self, monkeypatch):
         """Where the Cholesky error bound reaches tol / 2, only eigenvalues decide."""
