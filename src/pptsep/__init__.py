@@ -36,7 +36,6 @@ from .linalg import (
     TripartiteDims,
     TripartiteState,
     block,
-    compose_index,
     conjugate_local,
     dagger,
     hermitize,
@@ -46,9 +45,8 @@ from .linalg import (
     psd_inv_sqrt,
     psd_sqrt,
     sandwich_ab,
-    split_index,
 )
-from .ppt import MaskResult, PptReport, is_psd, ppt_report
+from .ppt import MaskResult, PptReport, ppt_report
 from .canonical import (
     CanonicalForm,
     ExtractionDiagnostics,
@@ -57,7 +55,6 @@ from .canonical import (
     filter_corner,
     find_witness,
     rotate_to_corner,
-    verify_kernel_vectors,
 )
 from .ensembles import (
     EigenTable,

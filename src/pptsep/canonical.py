@@ -406,18 +406,3 @@ def extract_canonical(
         _require_rank(state)
     return _extract_admitted(state, tol)
 
-
-def verify_kernel_vectors(state: TripartiteState, form: CanonicalForm) -> float:
-    """Re-derive the filtered state and return the worst kernel-vector residual.
-
-    The state is first moved into the form's frame (conjugating by the stored
-    local_u_a, local_u_b), then filtered with the form's own F; the residual is
-    the largest normalized |rho_f psi| over the designated kernel vectors.  It
-    is essentially zero for states that truly carry the canonical structure
-    and grows linearly with any perturbation of the state.
-    """
-    if state.dims != form.dims:
-        raise DimensionMismatch("state and canonical form refer to different dimensions")
-    rotated = conjugate_local(state, u_a=form.local_u_a, u_b=form.local_u_b)
-    rho_f = filter_corner(rotated, form.f)
-    return _kernel_residual(rho_f, form)

@@ -87,6 +87,11 @@ def _sample_count(text: str) -> int:
     return value
 
 
+# Upper bound of K*M*N for generate.  A state is one KMN x KMN complex matrix,
+# and generating one holds a few at once: at this bound each is 256 MiB.
+MAX_STATE_SIDE = 4096
+
+
 def _parse_complex_vector(text: str, name: str, length: int) -> np.ndarray:
     """A unit vector of `length` components from comma-separated complex numbers."""
     try:
@@ -153,11 +158,15 @@ def cmd_decompose(args) -> int:
 def _generate_state(args):
     metadata = {"generator": args.kind}
     truth = None
-    if args.kind == "canonical":
+    if args.kind in ("canonical", "example-i", "npt"):
         if args.dims is None:
-            raise ValueError("--kind canonical requires --dims K M N")
+            raise ValueError(f"--kind {args.kind} requires --dims K M N")
+        dims = TripartiteDims(*args.dims)
+        if dims.total > MAX_STATE_SIDE:
+            raise ValueError(f"--dims: K*M*N = {dims.total} exceeds {MAX_STATE_SIDE}")
+    if args.kind == "canonical":
         spec = GenSpec(
-            dims=TripartiteDims(*args.dims),
+            dims=dims,
             seed=args.seed,
             generator_scale=args.scale,
             f_condition_cap=args.cond_cap,
@@ -167,9 +176,7 @@ def _generate_state(args):
             seed=args.seed, generator_scale=args.scale, f_condition_cap=args.cond_cap
         )
     elif args.kind == "example-i":
-        if args.dims is None:
-            raise ValueError("--kind example-i requires --dims K M N")
-        state = identity_corner_state(TripartiteDims(*args.dims))
+        state = identity_corner_state(dims)
     elif args.kind == "example-ii":
         state = qubit_corner_state(args.a)
         metadata.update(a=args.a)
@@ -177,9 +184,7 @@ def _generate_state(args):
         state = shifts_complement_state(args.variant)
         metadata.update(variant=args.variant)
     else:  # "npt", the last of the kinds argparse admits
-        if args.dims is None:
-            raise ValueError("--kind npt requires --dims K M N")
-        state = gen_npt_control(TripartiteDims(*args.dims), p=args.p, seed=args.seed)
+        state = gen_npt_control(dims, p=args.p, seed=args.seed)
         metadata.update(p=args.p, seed=args.seed)
     return state, truth, metadata
 

@@ -48,10 +48,11 @@ class GenSpec:
     f_condition_cap: float = 100.0
 
     def __post_init__(self):
-        if self.generator_scale < 0:
-            raise PreconditionError("generator_scale must be non-negative")
-        if self.f_condition_cap < 1:
-            raise PreconditionError("f_condition_cap must be >= 1")
+        # Written so that NaN fails each test too.
+        if not 0 <= self.generator_scale < np.inf:
+            raise PreconditionError("generator_scale must be non-negative and finite")
+        if not 1 <= self.f_condition_cap < np.inf:
+            raise PreconditionError("f_condition_cap must be >= 1 and finite")
 
 
 def gen_commuting_family(n: int, count: int, spec: GenSpec) -> list[np.ndarray]:

@@ -30,8 +30,8 @@ from .errors import (
 # Rank decisions use no named bound: _rank_above_cutoff derives its cutoff,
 # order * eps * sigma_max, from the matrix itself.
 #
-# Hermitian defect ||X - X†||_F of a state or is_psd input, relative to
-# max(1, ||X||_F): a few roundings per entry, far below any physical signal.
+# Hermitian defect ||X - X†||_F of a state, relative to max(1, ||X||_F): a
+# few roundings per entry, far below any physical signal.
 HERM_TOL = 1e-10
 # |trace(rho) - 1| of a state and |sum p - 1| of an ensemble, absolute: the
 # generators normalize exactly and load_state re-normalizes on request.
@@ -39,9 +39,9 @@ TRACE_TOL = 1e-10
 # | ||v|| - 1 | of a witness or ensemble vector, absolute: vectors are divided
 # by their own norm, so the gap is a few ulps.
 VEC_TOL = 1e-10
-# Slack on the smallest eigenvalue of a PPT or is_psd verdict, relative to
-# the trace: well above eigvalsh's backward error, well below any negativity
-# that certifies entanglement.
+# Slack on the smallest eigenvalue of a PPT verdict, relative to the trace:
+# well above eigvalsh's backward error, well below any negativity that
+# certifies entanglement.
 PPT_TOL = 1e-9
 # Negative eigenvalues the PSD roots clip to zero, relative to
 # max(1, lambda_max); anything more negative is a NotPsdError.
@@ -63,13 +63,6 @@ def dagger(x: np.ndarray) -> np.ndarray:
 def hermitize(x: np.ndarray) -> np.ndarray:
     """Project onto the Hermitian part, (X + X†)/2, of a matrix or of each matrix of a stack."""
     return (x + dagger(x)) / 2
-
-
-def _require_hermitian(x: np.ndarray, what: str) -> None:
-    """Raise NotHermitianError unless ||X - X†||_F <= HERM_TOL * max(1, ||X||_F)."""
-    scale = max(1.0, float(np.linalg.norm(x)))
-    if np.linalg.norm(x - dagger(x)) > HERM_TOL * scale:
-        raise NotHermitianError(f"{what} is not Hermitian within tolerance")
 
 
 def _family_scale(gens: list[np.ndarray]) -> float:
@@ -113,22 +106,6 @@ class TripartiteDims:
         return (self.k, self.m, self.n)
 
 
-def compose_index(i_a: int, i_b: int, i_c: int, dims: TripartiteDims) -> int:
-    """Flat index of |i_A, i_B, i_C> under the package ordering."""
-    if not (0 <= i_a < dims.k and 0 <= i_b < dims.m and 0 <= i_c < dims.n):
-        raise IndexError(f"({i_a}, {i_b}, {i_c}) out of range for dims {dims.as_tuple()}")
-    return (i_a * dims.m + i_b) * dims.n + i_c
-
-
-def split_index(idx: int, dims: TripartiteDims) -> tuple[int, int, int]:
-    """Inverse of compose_index."""
-    if not 0 <= idx < dims.total:
-        raise IndexError(f"flat index {idx} out of range for dims {dims.as_tuple()}")
-    idx, i_c = divmod(idx, dims.n)
-    i_a, i_b = divmod(idx, dims.m)
-    return i_a, i_b, i_c
-
-
 @dataclass(frozen=True)
 class SubsystemMask:
     """Selects which of the subsystems A, B, C get transposed."""
@@ -146,15 +123,6 @@ class SubsystemMask:
 
     def complement(self) -> "SubsystemMask":
         return SubsystemMask(not self.transpose_a, not self.transpose_b, not self.transpose_c)
-
-    @classmethod
-    def from_label(cls, label: str) -> "SubsystemMask":
-        s = label.strip().upper()
-        if s in ("", "NONE"):
-            return cls()
-        if not set(s) <= set("ABC") or len(set(s)) != len(s):
-            raise ValueError(f"bad mask label {label!r}; expected a subset of 'ABC' or 'none'")
-        return cls("A" in s, "B" in s, "C" in s)
 
 
 MASK_NONE = SubsystemMask()
@@ -202,7 +170,9 @@ class TripartiteState:
             raise DimensionMismatch(
                 f"rho has shape {arr.shape}, dims {self.dims.as_tuple()} need ({d}, {d})"
             )
-        _require_hermitian(arr, "rho")
+        scale = max(1.0, float(np.linalg.norm(arr)))
+        if np.linalg.norm(arr - dagger(arr)) > HERM_TOL * scale:
+            raise NotHermitianError("rho is not Hermitian within tolerance")
         if abs(arr.trace() - 1.0) > TRACE_TOL:
             raise NormalizationError(f"trace(rho) = {arr.trace():.12g}, expected 1")
         rho = hermitize(arr)

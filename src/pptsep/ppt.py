@@ -27,26 +27,8 @@ from .linalg import (
     PPT_TOL,
     SubsystemMask,
     TripartiteState,
-    _require_hermitian,
     _transpose_subsystems,
-    as_complex_matrix,
-    hermitize,
 )
-
-
-def is_psd(x: np.ndarray, tol: float | None = None) -> tuple[bool, float]:
-    """Whether X is positive semidefinite, together with its minimum eigenvalue.
-
-    X must be Hermitian within HERM_TOL (relative); the verdict is
-    min eig >= -tol, with tol defaulting to PPT_TOL * max(1, |trace X|).
-    """
-    x = as_complex_matrix(x, "is_psd input")
-    _require_hermitian(x, "is_psd input")
-    if tol is None:
-        tol = PPT_TOL * max(1.0, abs(float(x.trace().real)))
-    w = np.linalg.eigvalsh(hermitize(x))
-    lo = float(w[0])
-    return lo >= -tol, lo
 
 
 @dataclass(frozen=True)

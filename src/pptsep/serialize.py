@@ -30,7 +30,8 @@ from .linalg import TRACE_FLOOR, TripartiteDims, TripartiteState
 SCHEMA_VERSION = "1"
 
 
-def _pairs_to_complex(obj, name: str) -> np.ndarray:
+def _complex_array(obj, name: str, ndim: int) -> np.ndarray:
+    """The complex array of ndim axes (1, a vector, or 2, a matrix) stored as [re, im] pairs."""
     arr = np.asarray(obj)
     if arr.dtype.kind not in "iuf":
         raise ValueError(f"{name}: entries must be numbers")
@@ -39,21 +40,10 @@ def _pairs_to_complex(obj, name: str) -> np.ndarray:
     arr = arr.astype(float, copy=False)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name}: non-finite entry")
+    if arr.ndim - 1 != ndim:
+        what = "a 1-D vector" if ndim == 1 else "a 2-D matrix"
+        raise ValueError(f"{name}: expected {what}, got {arr.ndim - 1} axes")
     return arr[..., 0] + 1j * arr[..., 1]
-
-
-def matrix_from_json(obj, name: str = "matrix") -> np.ndarray:
-    mat = _pairs_to_complex(obj, name)
-    if mat.ndim != 2:
-        raise ValueError(f"{name}: expected a 2-D matrix, got {mat.ndim} axes")
-    return mat
-
-
-def vector_from_json(obj, name: str = "vector") -> np.ndarray:
-    vec = _pairs_to_complex(obj, name)
-    if vec.ndim != 1:
-        raise ValueError(f"{name}: expected a 1-D vector, got {vec.ndim} axes")
-    return vec
 
 
 def _has_bool_literal(text: str) -> bool:
@@ -194,7 +184,7 @@ def load_state(path, allow_unnormalized: bool = False) -> TripartiteState:
     """
     doc = _load_document(path, "state")
     dims = _parse_dims(doc, path)
-    mat = matrix_from_json(doc.get("matrix"), f"{path}: matrix")
+    mat = _complex_array(doc.get("matrix"), f"{path}: matrix", 2)
     if mat.shape != (dims.total, dims.total):
         raise ValueError(
             f"{path}: matrix shape {mat.shape} does not match dims {dims.as_tuple()}"
@@ -244,13 +234,13 @@ def load_ensemble(path) -> SeparableEnsemble:
             raise ValueError(f"{path}: term {i} must be an object")
         try:
             p = np.asarray(rt["p"])
-            vec_a = vector_from_json(rt["vecA"], f"{path}: term {i} vecA")
-            vec_b = vector_from_json(rt["vecB"], f"{path}: term {i} vecB")
-            vec_c = vector_from_json(rt["vecC"], f"{path}: term {i} vecC")
+            vec_a = _complex_array(rt["vecA"], f"{path}: term {i} vecA", 1)
+            vec_b = _complex_array(rt["vecB"], f"{path}: term {i} vecB", 1)
+            vec_c = _complex_array(rt["vecC"], f"{path}: term {i} vecC", 1)
         except KeyError as e:
             raise ValueError(f"{path}: term {i} missing field {e}") from None
-        if p.ndim or p.dtype.kind not in "iuf":
-            raise ValueError(f"{path}: term {i} p must be a number")
+        if p.ndim or p.dtype.kind not in "iuf" or not np.isfinite(p):
+            raise ValueError(f"{path}: term {i} p must be a finite number")
         if vec_a.shape != (dims.k,) or vec_b.shape != (dims.m,) or vec_c.shape != (dims.n,):
             raise ValueError(f"{path}: term {i} vector shapes do not match dims")
         terms.append(EnsembleTerm(p=float(p), vec_a=vec_a, vec_b=vec_b, vec_c=vec_c))
@@ -281,13 +271,13 @@ def load_canonical_form(path) -> CanonicalForm:
         gens = doc.get(key, [])
         if not isinstance(gens, list):
             raise ValueError(f"{path}: {key} must be a list")
-        return tuple(matrix_from_json(g, f"{path}: {key}[{i}]") for i, g in enumerate(gens))
+        return tuple(_complex_array(g, f"{path}: {key}[{i}]", 2) for i, g in enumerate(gens))
 
     return CanonicalForm(
         dims=dims,
         a_list=matrices("a_list"),
         b_list=matrices("b_list"),
-        f=matrix_from_json(doc.get("f"), f"{path}: f"),
-        local_u_a=matrix_from_json(doc.get("local_u_a"), f"{path}: local_u_a"),
-        local_u_b=matrix_from_json(doc.get("local_u_b"), f"{path}: local_u_b"),
+        f=_complex_array(doc.get("f"), f"{path}: f", 2),
+        local_u_a=_complex_array(doc.get("local_u_a"), f"{path}: local_u_a", 2),
+        local_u_b=_complex_array(doc.get("local_u_b"), f"{path}: local_u_b", 2),
     )

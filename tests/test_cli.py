@@ -1,6 +1,7 @@
 """End-to-end tests for the ``pptsep`` command line, run in-process via main()."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from pptsep import (
     save_state,
     verify_ensemble,
 )
-from pptsep.cli import MAX_SAMPLES, build_parser, main
+from pptsep.cli import MAX_SAMPLES, MAX_STATE_SIDE, build_parser, main
 
 
 def run(capsys, *argv):
@@ -232,6 +233,37 @@ class TestGenerate:
         assert doc is None
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--scale", "--cond-cap"])
+    def test_non_finite_canonical_parameter_exits_two(self, capsys, tmp_path, flag, value):
+        out = tmp_path / "x.json"
+        code, doc = run(
+            capsys,
+            "generate", "--kind", "canonical", "--dims", "2", "2", "2", flag, value,
+            "--out", str(out),
+        )
+        assert code == 2
+        assert doc is None
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["canonical", "example-i", "npt"])
+    def test_dims_above_the_bound_exit_two_before_any_allocation(self, capsys, tmp_path, kind):
+        """K*M*N = 2**21 > MAX_STATE_SIDE: each KMN x KMN matrix would take 64 TiB."""
+        out = tmp_path / "x.json"
+        tracemalloc.start()
+        try:
+            code = main(
+                ["generate", "--kind", kind, "--dims", "1024", "1024", "2", "--out", str(out)]
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+        assert 1024 * 1024 * 2 > MAX_STATE_SIDE
+        assert peak < 1 << 20
+
 
 class TestVerify:
     def _write_pair(self, tmp_path, capsys):
@@ -258,6 +290,16 @@ class TestVerify:
         code, out = run(capsys, "verify", str(state_path), str(ens_path))
         assert code == 1
         assert out["pass"] is False
+
+    @pytest.mark.parametrize("spelling", ["NaN", "Infinity", "1e999"])
+    def test_non_finite_weight_exits_two(self, capsys, tmp_path, spelling):
+        """json reads each spelling as a float, NaN or inf: an input error, not a negative."""
+        state_path, ens_path = self._write_pair(tmp_path, capsys)
+        doc = json.loads(ens_path.read_text())
+        doc["terms"][0]["p"] = "WEIGHT"
+        ens_path.write_text(json.dumps(doc).replace('"WEIGHT"', spelling))
+        assert main(["verify", str(state_path), str(ens_path)]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_dimension_mismatch_exits_two(self, capsys, tmp_path):
         _, ens_path = self._write_pair(tmp_path, capsys)

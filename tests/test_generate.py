@@ -106,6 +106,12 @@ class TestCanonicalGenerator:
         with pytest.raises(PreconditionError):
             GenSpec(dims=TripartiteDims(2, 2, 2), seed=0, f_condition_cap=0.5)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["generator_scale", "f_condition_cap"])
+    def test_spec_rejects_non_finite(self, field, value):
+        with pytest.raises(PreconditionError):
+            GenSpec(dims=TripartiteDims(2, 2, 2), seed=0, **{field: value})
+
 
 class TestWorkedExamples:
     def test_identity_corner_layout(self):
@@ -149,6 +155,11 @@ class TestWorkedExamples:
                 partial_transpose(state, mask), state.rho, atol=1e-12
             )
         assert ppt_report(state, tol=1e-12).overall_ppt
+
+    def test_complement_corrected_spectrum(self):
+        """The product-family complement has eigenvalues {0 x4, 1/4 x4}."""
+        w = np.sort(np.linalg.eigvalsh(shifts_complement_state().rho))
+        np.testing.assert_allclose(w, [0, 0, 0, 0, 0.25, 0.25, 0.25, 0.25], atol=1e-12)
 
     def test_complement_literal_is_indefinite(self):
         """The misprint makes the complement indefinite: min eigenvalue -1/(4 sqrt 2).

@@ -19,7 +19,6 @@ from pptsep import (
     TripartiteDims,
     TripartiteState,
     block,
-    compose_index,
     conjugate_local,
     dagger,
     hermitize,
@@ -32,7 +31,6 @@ from pptsep import (
     qubit_corner_state,
     sandwich_ab,
     shifts_complement_state,
-    split_index,
 )
 from pptsep.linalg import _rank_above_cutoff, as_complex_matrix
 
@@ -57,30 +55,6 @@ def random_density(dims, seed):
 
 
 class TestIndexing:
-    def test_compose_index_enumerates_bijectively(self):
-        """The flat index runs over range(KMN) exactly once, in lexicographic order."""
-        dims = TripartiteDims(2, 3, 4)
-        seen = [
-            compose_index(i, j, l, dims)
-            for i in range(2)
-            for j in range(3)
-            for l in range(4)
-        ]
-        assert seen == list(range(24))
-
-    def test_compose_index_frozen_value(self):
-        assert compose_index(1, 0, 1, TripartiteDims(2, 2, 2)) == 5
-
-    def test_split_index_inverts_compose(self):
-        dims = TripartiteDims(3, 2, 5)
-        for idx in range(dims.total):
-            assert compose_index(*split_index(idx, dims), dims) == idx
-
-    @pytest.mark.parametrize("bad", [(-1, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)])
-    def test_compose_index_range_errors(self, bad):
-        with pytest.raises(IndexError):
-            compose_index(*bad, TripartiteDims(2, 2, 2))
-
     def test_dims_validation(self):
         with pytest.raises(DimensionMismatch):
             TripartiteDims(1, 2, 2)
@@ -93,16 +67,8 @@ class TestMasks:
         assert MASK_NONE.label == "none"
         assert SubsystemMask(True, False, True).label == "AC"
 
-    def test_from_label_round_trip(self):
-        for mask in ALL_MASKS:
-            assert SubsystemMask.from_label(mask.label) == mask
-
     def test_complement(self):
         assert SubsystemMask(True, False, False).complement() == SubsystemMask(False, True, True)
-
-    def test_bad_label(self):
-        with pytest.raises(ValueError):
-            SubsystemMask.from_label("AD")
 
 
 class TestKron:
@@ -314,11 +280,9 @@ class TestPsdRoots:
     "call, error",
     [
         (lambda: as_complex_matrix(np.ones(3)), ValueError),
-        (lambda: split_index(8, TripartiteDims(2, 2, 2)), IndexError),
-        (lambda: split_index(-1, TripartiteDims(2, 2, 2)), IndexError),
         (lambda: psd_sqrt(np.ones((2, 3))), DimensionMismatch),
     ],
-    ids=["1-d matrix", "index past the end", "negative index", "non-square root"],
+    ids=["1-d matrix", "non-square root"],
 )
 def test_malformed_input_rejected(call, error):
     with pytest.raises(error):

@@ -12,7 +12,6 @@ from pptsep import (
     ALL_MASKS,
     MASK_A,
     MASK_NONE,
-    NotHermitianError,
     NotPptError,
     TripartiteDims,
     TripartiteState,
@@ -22,7 +21,6 @@ from pptsep import (
     GenSpec,
     haar_unitary,
     hermitize,
-    is_psd,
     partial_transpose,
     ppt_report,
     qubit_corner_state,
@@ -39,28 +37,6 @@ def ghz_partial_transpose_oracle():
     m[0, 0] = m[7, 7] = 0.5  # |000><000| and |111><111| survive untouched
     m[4, 3] = m[3, 4] = 0.5  # |000><111| and |111><000| map to |100><011| etc.
     return m
-
-
-class TestIsPsd:
-    def test_identity(self):
-        ok, lo = is_psd(np.eye(4))
-        assert ok and lo == pytest.approx(1.0, abs=1e-15)
-
-    def test_indefinite_diagonal(self):
-        ok, lo = is_psd(np.diag([1.0, -0.5]))
-        assert not ok and lo == pytest.approx(-0.5, abs=1e-15)
-
-    def test_complement_state(self):
-        """The product-family complement is PSD with eigenvalues {0 x4, 1/4 x4}."""
-        state = shifts_complement_state()
-        ok, lo = is_psd(state.rho, tol=1e-12)
-        assert ok and abs(lo) < 1e-12
-        w = np.sort(np.linalg.eigvalsh(state.rho))
-        np.testing.assert_allclose(w, [0, 0, 0, 0, 0.25, 0.25, 0.25, 0.25], atol=1e-12)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitianError):
-            is_psd(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestPptReport:
