@@ -39,14 +39,14 @@ from .linalg import (
     conjugate_local,
     dagger,
     hermitize,
-    numeric_rank,
     psd_inv_sqrt,
     sandwich_ab,
 )
 from .ppt import _ppt_admission
 
-# Not called here; benchmarks/spans.py wraps this module attribute, so it
-# stays importable from here.
+# Not called here; benchmarks/spans.py wraps these module attributes, so they
+# stay importable from here.
+from .linalg import numeric_rank  # noqa: F401
 from .ppt import ppt_report  # noqa: F401
 
 
@@ -211,10 +211,7 @@ def _completion_unitary(e: np.ndarray, dim: int) -> np.ndarray:
             perm[[idx, dim - 1]] = perm[[dim - 1, idx]]
         return perm
     q, _ = np.linalg.qr(np.column_stack([e, np.eye(dim)]))
-    q = q[:, :dim]
-    q[:, 0] = e
-    v = np.column_stack([q[:, 1:], e])
-    return dagger(v)
+    return dagger(np.column_stack([q[:, 1:dim], e]))
 
 
 def rotate_to_corner(
@@ -336,7 +333,10 @@ def _extract_admitted(
     k, m, n = state.dims.as_tuple()
     km = k * m
     f = block(state, km - 1, km - 1)  # a diagonal block of rho: exactly Hermitian
-    corner_rank = numeric_rank(f)
+    # One spectrum of F gives its rank, by the |lambda| rule of _require_rank,
+    # and its condition number.
+    ev = np.linalg.eigvalsh(f)
+    corner_rank = _rank_above_cutoff(np.abs(ev), n)
     if corner_rank != n:
         raise RankMismatch(
             f"corner block rank {corner_rank} != N = {n}; rotate a full-rank witness first"
@@ -367,7 +367,6 @@ def _extract_admitted(
     delta = float(np.linalg.norm(fblock(residual, d_idx, d_idx)))
 
     kernel = _kernel_residual(rho_f, form)
-    ev = np.linalg.eigvalsh(f)
     diagnostics = ExtractionDiagnostics(
         state_rank=n,
         corner_rank=corner_rank,

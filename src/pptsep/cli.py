@@ -43,7 +43,7 @@ from .serialize import (
 
 
 def _emit(doc: dict) -> None:
-    print(json.dumps(doc, indent=2))
+    print(json.dumps(doc, indent=2, allow_nan=False))
 
 
 def _fail_input(message: str) -> int:
@@ -214,14 +214,13 @@ def cmd_verify(args) -> int:
         residual, ok = verify_ensemble(state, ensemble, tol=args.tol)
     except DimensionMismatch as e:
         return _fail_input(str(e))
-    _emit(
-        {
-            "residual": residual,
-            "pass": ok,
-            "terms": len(ensemble.terms),
-            "total_weight": ensemble.total_weight(),
-        }
-    )
+    total_weight = ensemble.total_weight()
+    if not (math.isfinite(residual) and math.isfinite(total_weight)):
+        return _fail_input(
+            f"{args.ensemble}: its values overflow (residual {residual:.3g}, "
+            f"total weight {total_weight:.3g})"
+        )
+    _emit({"residual": residual, "pass": ok, "terms": len(ensemble.terms), "total_weight": total_weight})
     if not ok:
         print("error: ensemble does not certify the state (see JSON report)", file=sys.stderr)
     return 0 if ok else 1

@@ -112,13 +112,14 @@ def _offdiag_max(u: np.ndarray, gens: list[np.ndarray]) -> float:
 
 
 def _phase_fix(u: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive."""
+    """Rotate each column so its largest-magnitude entry is real positive.
+
+    u is unitary, so that entry of each column has magnitude at least 1/sqrt(N).
+    """
     u = u.copy()
     for c in range(u.shape[1]):
-        i = int(np.argmax(np.abs(u[:, c])))
-        piv = u[i, c]
-        if piv != 0:
-            u[:, c] *= np.conj(piv) / abs(piv)
+        piv = u[int(np.argmax(np.abs(u[:, c]))), c]
+        u[:, c] *= np.conj(piv) / abs(piv)
     return u
 
 
@@ -278,9 +279,11 @@ def decompose(
     2. NotPptError: some partial transpose has a negative eigenvalue;
     3. NoWitness: no product pair with a full-rank sandwich block was found;
     4. StructureViolation from the extraction on the rotated state (or, at
-       the rank cutoff's edge, RankMismatch for its corner block), and
-       CommutatorViolation / DegeneracyUnresolved from the joint
-       diagonalization;
+       the rank cutoff's edge, RankMismatch for its corner block), then
+       DegeneracyUnresolved from the joint diagonalization.  Its
+       CommutatorViolation cannot arise here: the extraction has already
+       tested the same _commutator_max of the same generators against the
+       same tol * s²;
     5. CertificationFailure: the candidate ensemble failed its reconstruction
        check at tol and was discarded.
 
@@ -292,7 +295,7 @@ def decompose(
         if w is None:
             raise NoWitness("no product witness with a full-rank sandwich block was found")
         rotated, u_a, u_b = rotate_to_corner(state, w)
-        form, _diag = _extract_admitted(rotated, tol)
+        form, _ = _extract_admitted(rotated, tol)
         form = replace(form, local_u_a=u_a, local_u_b=u_b)
         ensemble = ensemble_from_form(form, tol=tol, seed=seed)
         # The public check gives the verdict; the failed invariants are listed

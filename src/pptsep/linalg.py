@@ -147,13 +147,13 @@ ALL_MASKS = (
 class TripartiteState:
     """A Hermitian, unit-trace KMN x KMN matrix tied to its tripartite dimensions.
 
-    The input must be finite, of shape KMN x KMN, Hermitian within HERM_TOL
-    (relative) and of trace one within TRACE_TOL.  The type then stores its
-    own read-only copy of the Hermitian part, hermitize(input), so
-    state.rho == state.rho.conj().T holds exactly, entry for entry, and a
-    later change to the caller's array does not reach the state.  Every
-    verdict of the package is therefore a verdict on (rho + rho†)/2, and no
-    consumer hermitizes rho again.
+    The input must be finite, with a finite Frobenius norm, of shape
+    KMN x KMN, Hermitian within HERM_TOL (relative) and of trace one within
+    TRACE_TOL.  The type then stores its own read-only copy of the Hermitian
+    part, hermitize(input), so state.rho == state.rho.conj().T holds exactly,
+    entry for entry, and a later change to the caller's array does not reach
+    the state.  Every verdict of the package is therefore a verdict on
+    (rho + rho†)/2, and no consumer hermitizes rho again.
 
     Positivity is *not* part of the type: PPT verdicts are a computation, and
     the literal variant of the misprinted product family is deliberately
@@ -171,6 +171,8 @@ class TripartiteState:
                 f"rho has shape {arr.shape}, dims {self.dims.as_tuple()} need ({d}, {d})"
             )
         scale = max(1.0, float(np.linalg.norm(arr)))
+        if scale == np.inf:  # the defect would overflow too, and pass against it
+            raise ValueError("rho is too large: its Frobenius norm overflows")
         if np.linalg.norm(arr - dagger(arr)) > HERM_TOL * scale:
             raise NotHermitianError("rho is not Hermitian within tolerance")
         if abs(arr.trace() - 1.0) > TRACE_TOL:
@@ -196,13 +198,8 @@ def partial_transpose(state: TripartiteState, mask: SubsystemMask) -> np.ndarray
     no arithmetic at all: applying the same mask twice returns the original
     matrix bit for bit, and the trace and Hermiticity are preserved exactly.
     """
-    return _transpose_subsystems(state.rho, state.dims, mask)
-
-
-def _transpose_subsystems(rho: np.ndarray, dims: TripartiteDims, mask: SubsystemMask) -> np.ndarray:
-    """partial_transpose on a bare KMN x KMN matrix."""
-    k, m, n = dims.as_tuple()
-    t = rho.reshape(k, m, n, k, m, n)
+    k, m, n = state.dims.as_tuple()
+    t = state.rho.reshape(k, m, n, k, m, n)
     axes = list(range(6))
     if mask.transpose_a:
         axes[0], axes[3] = axes[3], axes[0]
@@ -210,8 +207,7 @@ def _transpose_subsystems(rho: np.ndarray, dims: TripartiteDims, mask: Subsystem
         axes[1], axes[4] = axes[4], axes[1]
     if mask.transpose_c:
         axes[2], axes[5] = axes[5], axes[2]
-    side = dims.total
-    return np.ascontiguousarray(t.transpose(axes)).reshape(side, side)
+    return np.ascontiguousarray(t.transpose(axes)).reshape(state.side, state.side)
 
 
 def block(state: TripartiteState, row: int, col: int) -> np.ndarray:
@@ -337,9 +333,9 @@ def _rank_above_cutoff(sv: np.ndarray, order: int) -> int | np.ndarray:
 
     The one rank rule of the package: numeric_rank applies it to an SVD, the
     witness search to a stack of sandwich spectra (one count per row), the
-    admission gate of the canonical form to |eigenvalues| of a Hermitian
-    matrix, which are its singular values, and psd_inv_sqrt to the clipped
-    spectrum it inverts.
+    canonical form's rank tests of the state and of its corner block to
+    |eigenvalues| of a Hermitian matrix, which are its singular values, and
+    psd_inv_sqrt to the clipped spectrum it inverts.
     """
     if sv.size == 0:
         return 0

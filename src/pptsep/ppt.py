@@ -27,7 +27,7 @@ from .linalg import (
     PPT_TOL,
     SubsystemMask,
     TripartiteState,
-    _transpose_subsystems,
+    partial_transpose,
 )
 
 
@@ -83,9 +83,7 @@ def ppt_report(state: TripartiteState, tol: float | None = None) -> PptReport:
     """
     if tol is None:
         tol = _default_tol(state)
-    spectra = [
-        np.linalg.eigvalsh(_transpose_subsystems(state.rho, state.dims, m)) for m in ALL_MASKS[:4]
-    ]
+    spectra = [np.linalg.eigvalsh(partial_transpose(state, m)) for m in ALL_MASKS[:4]]
     entries = tuple(
         MaskResult(mask, lo, lo >= -tol)
         for mask, lo in zip(ALL_MASKS, _by_mask([float(w[0]) for w in spectra]))
@@ -128,8 +126,7 @@ def _ppt_admission(state: TripartiteState) -> tuple[np.ndarray | None, list[str]
     # freed memory back to the OS after every call and fault it in again on the
     # next: about 700 minor page faults per NotPptError refusal at (4,4,8).
     passed = [
-        _psd_verdict(_transpose_subsystems(state.rho, state.dims, m), tol, norm_f)
-        for m in ALL_MASKS[1:4]
+        _psd_verdict(partial_transpose(state, m), tol, norm_f) for m in ALL_MASKS[1:4]
     ]
     # A failed mask needs the spectrum for the rank test anyway, so rho's own
     # bracket runs only while every masked verdict has passed; a bracket that

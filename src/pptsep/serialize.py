@@ -82,7 +82,12 @@ def _reject_bool_entries(doc: dict, path) -> None:
             stack.extend(v for v in obj if isinstance(v, (dict, list)))
 
 
-def _load_document(path, kind: str) -> dict:
+def _load_document(path, kind: str) -> tuple[dict, TripartiteDims]:
+    """The document of the given kind at path, and its dims.
+
+    Checks, in order: JSON syntax, a top-level object, schema_version, kind,
+    no true/false inside an array, dims a list of three integers.
+    """
     text = Path(path).read_text()
     try:
         doc = json.loads(text)
@@ -96,14 +101,10 @@ def _load_document(path, kind: str) -> dict:
         raise ValueError(f"{path}: file kind is {doc.get('kind')!r}, expected {kind!r}")
     if _has_bool_literal(text):
         _reject_bool_entries(doc, path)
-    return doc
-
-
-def _parse_dims(doc: dict, path) -> TripartiteDims:
     dims = doc.get("dims")
     if not (isinstance(dims, list) and len(dims) == 3 and all(isinstance(d, int) for d in dims)):
         raise ValueError(f"{path}: dims must be a list of three integers")
-    return TripartiteDims(*dims)
+    return doc, TripartiteDims(*dims)
 
 
 def _write_pairs(out, vec: np.ndarray, indent: int) -> None:
@@ -136,13 +137,16 @@ def _write_array(out, arr: np.ndarray, indent: int) -> None:
     out.write("\n" + " " * indent + "]")
 
 
-def _dump(doc: dict, path) -> None:
-    """Write doc, whose complex arrays are numpy arrays, as indented JSON.
+def _dump(path, kind: str, dims: TripartiteDims, **fields) -> None:
+    """Write a document of the given kind as indented JSON.
 
-    The skeleton is json.dumps(doc, indent=2) with each array encoded as null;
+    The header (schema_version, kind, dims) comes first, then the fields in
+    the order given; complex arrays among them are numpy arrays.  The
+    skeleton is json.dumps(doc, indent=2) with each array encoded as null;
     every other value of a document is a string, a number or a container, so
     a line that ends in null is exactly the place of the next array.
     """
+    doc = {"schema_version": SCHEMA_VERSION, "kind": kind, "dims": list(dims.as_tuple()), **fields}
     arrays = []
 
     def hole(obj):
@@ -165,15 +169,10 @@ def _dump(doc: dict, path) -> None:
 
 def save_state(state: TripartiteState, path, metadata: dict | None = None) -> None:
     """Write a StateFile.  metadata, if given, must be a flat str -> str map."""
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "state",
-        "dims": list(state.dims.as_tuple()),
-        "matrix": state.rho,
-    }
+    fields = {"matrix": state.rho}
     if metadata:
-        doc["metadata"] = {str(k): str(v) for k, v in metadata.items()}
-    _dump(doc, path)
+        fields["metadata"] = {str(k): str(v) for k, v in metadata.items()}
+    _dump(path, "state", state.dims, **fields)
 
 
 def load_state(path, allow_unnormalized: bool = False) -> TripartiteState:
@@ -182,8 +181,7 @@ def load_state(path, allow_unnormalized: bool = False) -> TripartiteState:
     The matrix must be Hermitian with unit trace; with allow_unnormalized=True
     a non-unit (but nonzero) trace is rescaled away instead of rejected.
     """
-    doc = _load_document(path, "state")
-    dims = _parse_dims(doc, path)
+    doc, dims = _load_document(path, "state")
     mat = _complex_array(doc.get("matrix"), f"{path}: matrix", 2)
     if mat.shape != (dims.total, dims.total):
         raise ValueError(
@@ -199,21 +197,11 @@ def load_state(path, allow_unnormalized: bool = False) -> TripartiteState:
 
 def save_ensemble(ensemble: SeparableEnsemble, path) -> None:
     """Write an EnsembleFile."""
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "ensemble",
-        "dims": list(ensemble.dims.as_tuple()),
-        "terms": [
-            {
-                "p": float(t.p),
-                "vecA": t.vec_a,
-                "vecB": t.vec_b,
-                "vecC": t.vec_c,
-            }
-            for t in ensemble.terms
-        ],
-    }
-    _dump(doc, path)
+    terms = [
+        {"p": float(t.p), "vecA": t.vec_a, "vecB": t.vec_b, "vecC": t.vec_c}
+        for t in ensemble.terms
+    ]
+    _dump(path, "ensemble", ensemble.dims, terms=terms)
 
 
 def load_ensemble(path) -> SeparableEnsemble:
@@ -223,8 +211,7 @@ def load_ensemble(path) -> SeparableEnsemble:
     one, unit vectors, reconstruction) are the business of verify_ensemble, so
     a deliberately broken ensemble still loads and can be checked.
     """
-    doc = _load_document(path, "ensemble")
-    dims = _parse_dims(doc, path)
+    doc, dims = _load_document(path, "ensemble")
     raw_terms = doc.get("terms")
     if not isinstance(raw_terms, list):
         raise ValueError(f"{path}: terms must be a list")
@@ -249,23 +236,21 @@ def load_ensemble(path) -> SeparableEnsemble:
 
 def save_canonical_form(form: CanonicalForm, path) -> None:
     """Write a FormFile (ground-truth sibling of generated canonical states)."""
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "canonical_form",
-        "dims": list(form.dims.as_tuple()),
-        "a_list": form.a_list,
-        "b_list": form.b_list,
-        "f": form.f,
-        "local_u_a": form.local_u_a,
-        "local_u_b": form.local_u_b,
-    }
-    _dump(doc, path)
+    _dump(
+        path,
+        "canonical_form",
+        form.dims,
+        a_list=form.a_list,
+        b_list=form.b_list,
+        f=form.f,
+        local_u_a=form.local_u_a,
+        local_u_b=form.local_u_b,
+    )
 
 
 def load_canonical_form(path) -> CanonicalForm:
     """Read a FormFile."""
-    doc = _load_document(path, "canonical_form")
-    dims = _parse_dims(doc, path)
+    doc, dims = _load_document(path, "canonical_form")
 
     def matrices(key):
         gens = doc.get(key, [])

@@ -301,6 +301,26 @@ class TestVerify:
         assert main(["verify", str(state_path), str(ens_path)]) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda terms: [t.update(p=1e308) for t in terms],
+            lambda terms: terms[0]["vecA"][0].__setitem__(0, 1e200),
+        ],
+        ids=["both weights 1e308", "vecA entry 1e200"],
+    )
+    def test_overflowing_ensemble_exits_two(self, capsys, tmp_path, mutate):
+        """Finite entries whose total weight or residual overflows: an input error, no NaN or
+        Infinity on stdout."""
+        state_path, ens_path = self._write_pair(tmp_path, capsys)
+        doc = json.loads(ens_path.read_text())
+        mutate(doc["terms"])
+        ens_path.write_text(json.dumps(doc))
+        assert main(["verify", str(state_path), str(ens_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "overflow" in captured.err
+
     def test_dimension_mismatch_exits_two(self, capsys, tmp_path):
         _, ens_path = self._write_pair(tmp_path, capsys)
         other = tmp_path / "other.json"

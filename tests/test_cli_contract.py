@@ -59,7 +59,9 @@ COMMANDS = {
     "ensemble": [["verify", STATE, MUTANT]],
 }
 
+# The last four are finite, valid JSON numbers that overflow in the arithmetic on them.
 REPLACEMENTS = [None, [], [0.5], {}, {"x": 1}, "x", True, False, math.nan, math.inf]
+REPLACEMENTS += [1e200, -1e200, 1e308, -1e308]
 
 
 def _paths(node, prefix=()):
@@ -144,6 +146,8 @@ def mutated_documents(draw):
 @given(document=mutated_documents(), which=st.integers(0, 2))
 @example(document=("ensemble", _mutated("ensemble", ("terms", 0, "p"), math.nan)), which=0)
 @example(document=("ensemble", _mutated("ensemble", ("terms", 1, "p"), math.inf)), which=0)
+@example(document=("ensemble", _mutated("ensemble", ("terms", 0, "vecA", 0, 0), 1e200)), which=0)
+@example(document=("state", _mutated("state", ("matrix", 7, 6, 0), -1e308)), which=2)
 def test_mutated_document_keeps_the_contract(files, document, which):
     kind, text = document
     with open(files[MUTANT], "w") as f:

@@ -19,6 +19,7 @@ from pptsep import (
     SeparableEnsemble,
     TripartiteDims,
     TripartiteState,
+    block,
     conjugate_local,
     decompose,
     find_witness,
@@ -36,13 +37,13 @@ from pptsep import (
 from pptsep import ensembles
 
 
-def count_full_size_calls(monkeypatch, side):
-    """Count np.linalg eigvalsh, eigh, svd and cholesky calls on side x side inputs."""
+def count_linalg_calls(monkeypatch, matches):
+    """Count np.linalg eigvalsh, eigh, svd and cholesky calls whose argument matches."""
     counts = Counter()
 
     def counting(name, fn):
         def wrapper(a, *args, **kw):
-            if np.shape(a)[-2:] == (side, side):
+            if matches(a):
                 counts[name] += 1
             return fn(a, *args, **kw)
 
@@ -51,6 +52,11 @@ def count_full_size_calls(monkeypatch, side):
     for name in ("eigvalsh", "eigh", "svd", "cholesky"):
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     return counts
+
+
+def count_full_size_calls(monkeypatch, side):
+    """count_linalg_calls on side x side inputs."""
+    return count_linalg_calls(monkeypatch, lambda a: np.shape(a)[-2:] == (side, side))
 
 
 def offdiag_norm(u, g):
@@ -205,6 +211,17 @@ class TestDecomposeExamples:
         counts = count_full_size_calls(monkeypatch, state.side)
         decompose(state, **kwargs)
         assert counts == {"cholesky": 4}
+
+    def test_corner_block_is_decomposed_without_an_svd(self, monkeypatch):
+        """One eigvalsh of F gives its rank and condition number; no SVD of F runs.
+
+        The two eigh of F are the filter's F^{-1/2} and the ensemble's F^{1/2}.
+        """
+        state, _ = gen_canonical_state(GenSpec(dims=TripartiteDims(3, 3, 4), seed=2))
+        f = block(state, 8, 8)  # the corner witness (|2>, |2>) needs no rotation
+        counts = count_linalg_calls(monkeypatch, lambda a: np.array_equal(a, f))
+        decompose(state, witness="explicit", e_a=[0, 0, 1], f_b=[0, 0, 1])
+        assert counts == {"eigvalsh": 1, "eigh": 2}
 
     @pytest.mark.parametrize("mode", ["search", "corner"])
     def test_rank_refusal_decomposes_the_state_once(self, monkeypatch, mode):

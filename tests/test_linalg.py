@@ -310,6 +310,14 @@ class TestStateValidation:
         with pytest.raises(ValueError):
             TripartiteState(TripartiteDims(2, 2, 2), rho)
 
+    @pytest.mark.parametrize("value", [1e200, -1e308])
+    def test_rejects_an_overflowing_norm(self, value):
+        """One huge entry makes rho far from Hermitian, but its defect and norm both overflow."""
+        rho = np.eye(8, dtype=complex) / 8
+        rho[7, 6] = value
+        with pytest.raises(ValueError, match="Frobenius norm overflows"):
+            TripartiteState(TripartiteDims(2, 2, 2), rho)
+
     def test_stores_its_own_read_only_hermitian_part(self):
         """rho is hermitize(input), exactly Hermitian, unaliased and read-only."""
         rng = np.random.default_rng(3)

@@ -28,7 +28,6 @@ from pptsep import (
     conjugate_local,
 )
 from pptsep.canonical import _admit
-from pptsep.linalg import _transpose_subsystems
 
 
 def ghz_partial_transpose_oracle():
@@ -37,6 +36,23 @@ def ghz_partial_transpose_oracle():
     m[0, 0] = m[7, 7] = 0.5  # |000><000| and |111><111| survive untouched
     m[4, 3] = m[3, 4] = 0.5  # |000><111| and |111><000| map to |100><011| etc.
     return m
+
+
+def transpose_subsystems_oracle(raw, dims, mask):
+    """raw with the masked subsystems transposed, gathered entry by entry.
+
+    Entry (r, c) of the result is raw[r', c'], where r' and c' take each
+    masked subsystem's index from the other side: an index permutation
+    written independently of partial_transpose, for matrices that are not
+    a TripartiteState.
+    """
+    shape = dims.as_tuple()
+    digits = np.array(np.unravel_index(np.arange(dims.total), shape))
+    swap = np.array([mask.transpose_a, mask.transpose_b, mask.transpose_c])[:, None, None]
+    row_digits, col_digits = digits[:, :, None], digits[:, None, :]
+    rows = np.where(swap, col_digits, row_digits)
+    cols = np.where(swap, row_digits, col_digits)
+    return raw[np.ravel_multi_index(tuple(rows), shape), np.ravel_multi_index(tuple(cols), shape)]
 
 
 class TestPptReport:
@@ -138,7 +154,7 @@ class TestPptReport:
         ]
         for dims, raw in inputs:
             spectra = [
-                np.linalg.eigvalsh(hermitize(_transpose_subsystems(raw, dims, m)))
+                np.linalg.eigvalsh(hermitize(transpose_subsystems_oracle(raw, dims, m)))
                 for m in ALL_MASKS[:4]
             ]
             report = ppt_report(TripartiteState(dims, raw))
@@ -280,16 +296,16 @@ class TestAdmissionVerdicts:
 
     def test_gate_builds_the_partial_transposes_one_at_a_time(self, monkeypatch, bell_mixture):
         """Each partial transpose is freed before the next one is built."""
-        real = ppt._transpose_subsystems
+        real = ppt.partial_transpose
         built, alive_at_build = [], []
 
-        def tracked(rho, dims, mask):
+        def tracked(state, mask):
             alive_at_build.append(sum(ref() is not None for ref in built))
-            out = real(rho, dims, mask)
+            out = real(state, mask)
             built.append(weakref.ref(out))
             return out
 
-        monkeypatch.setattr(ppt, "_transpose_subsystems", tracked)
+        monkeypatch.setattr(ppt, "partial_transpose", tracked)
         with pytest.raises(NotPptError):
             _admit(bell_mixture)
         assert len(built) == 3
