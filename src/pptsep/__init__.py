@@ -39,7 +39,6 @@ from .linalg import (
     conjugate_local,
     dagger,
     hermitize,
-    kron,
     numeric_rank,
     partial_transpose,
     psd_inv_sqrt,

@@ -21,12 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NotPptError,
-    RankMismatch,
-    StructureViolation,
-)
+from .errors import DimensionMismatch, RankMismatch, StructureViolation
 from .linalg import (
     CERT_TOL,
     TripartiteDims,
@@ -42,7 +37,7 @@ from .linalg import (
     psd_inv_sqrt,
     sandwich_ab,
 )
-from .ppt import _ppt_admission
+from .ppt import _admit, _require_rank
 
 # Not called here; benchmarks/spans.py wraps these module attributes, so they
 # stay importable from here.
@@ -284,56 +279,14 @@ def _commutator_max(gens: list[np.ndarray]) -> float:
     return float(np.linalg.norm(defects, axis=(-2, -1)).max(initial=0.0))
 
 
-def _require_rank(state: TripartiteState, spectrum: np.ndarray | None = None) -> None:
-    """Raise RankMismatch unless the state's numeric rank is N.
-
-    The rank is read off the state's Hermitian spectrum (computed here when
-    not given) with numeric_rank's rule, since the singular values of a
-    Hermitian matrix are |lambda|; no SVD runs.  Raised from None: when it
-    replaces a later refusal, that refusal is not chained to it.
-    """
-    if spectrum is None:
-        spectrum = np.linalg.eigvalsh(state.rho)
-    n = state.dims.n
-    state_rank = _rank_above_cutoff(np.abs(spectrum), state.side)
-    if state_rank != n:
-        raise RankMismatch(
-            f"state rank {state_rank} != N = {n}; canonical form does not apply"
-        ) from None
-
-
-def _admit(state: TripartiteState) -> np.ndarray | None:
-    """The PPT gate of the construction: four Cholesky certificates, a spectrum on refusal.
-
-    _ppt_admission settles masks A, B, C and "none" by shifted Cholesky
-    factorizations (_psd_verdict), with the same verdict as ppt_report at the
-    same PPT_TOL * trace(rho) tolerance.  When all four are certified, no
-    eigendecomposition runs, the rank is not tested here, and None is
-    returned: a caller that goes on to certify an N-term ensemble has shown
-    that rho lies within its tol of rank N, and one that meets a refusal
-    first tests the rank with _require_rank.  Otherwise the state's one
-    spectrum gives the rank and mask "none": RankMismatch unless the rank is
-    N, then NotPptError naming every failing mask (as ppt_report would).  A
-    spectrum that passes both is returned, as the rank already tested.  Both
-    verdicts are invariant under local unitaries, so they may be taken before
-    or after a rotation to the corner.
-    """
-    spectrum, failing = _ppt_admission(state)
-    if spectrum is not None:
-        _require_rank(state, spectrum)
-    if failing:
-        raise NotPptError(f"state is not PPT (failing masks: {', '.join(failing)})")
-    return spectrum
-
-
 def _extract_admitted(
     state: TripartiteState, tol: float
 ) -> tuple[CanonicalForm, ExtractionDiagnostics]:
-    """extract_canonical for a state that has already passed _admit."""
+    """extract_canonical for a state that has already passed ppt._admit."""
     k, m, n = state.dims.as_tuple()
     km = k * m
     f = block(state, km - 1, km - 1)  # a diagonal block of rho: exactly Hermitian
-    # One spectrum of F gives its rank, by the |lambda| rule of _require_rank,
+    # One spectrum of F gives its rank, by the |lambda| rule of ppt._require_rank,
     # and its condition number.
     ev = np.linalg.eigvalsh(f)
     corner_rank = _rank_above_cutoff(np.abs(ev), n)
@@ -343,12 +296,10 @@ def _extract_admitted(
         )
 
     rho_f = filter_corner(state, f)
-
-    def fblock(mat, r, c):
-        return mat[r * n : (r + 1) * n, c * n : (c + 1) * n].copy()
-
-    a_list = tuple(fblock(rho_f, km - 1, (k - 1) * m + v) for v in range(m - 1))
-    b_list = tuple(fblock(rho_f, km - 1, u * m + (m - 1)) for u in range(k - 1))
+    # last[:, c] is block (KM-1, c) of rho_f.
+    last = rho_f[(km - 1) * n :].reshape(n, km, n)
+    a_list = tuple(last[:, (k - 1) * m + v].copy() for v in range(m - 1))
+    b_list = tuple(last[:, u * m + (m - 1)].copy() for u in range(k - 1))
     form = CanonicalForm(
         dims=state.dims,
         a_list=a_list,
@@ -363,8 +314,8 @@ def _extract_admitted(
     recon = float(np.linalg.norm(residual) / np.linalg.norm(rho_f))
     gens = form.generators()
     comm = _commutator_max(gens)
-    d_idx = (k - 2) * m + (m - 2)
-    delta = float(np.linalg.norm(fblock(residual, d_idx, d_idx)))
+    d = slice(((k - 2) * m + (m - 2)) * n, ((k - 2) * m + (m - 1)) * n)
+    delta = float(np.linalg.norm(residual[d, d]))
 
     kernel = _kernel_residual(rho_f, form)
     diagnostics = ExtractionDiagnostics(
@@ -391,17 +342,17 @@ def extract_canonical(
 
     Checks, in order: global rank == N (RankMismatch), PPT across all masks
     (NotPptError), both from a Cholesky certificate per mask and one
-    Hermitian eigendecomposition of the state (see _admit and
-    _require_rank), then corner rank == N (RankMismatch).  After
-    filtering, the generators are read from the last block row and the
-    structural claim is validated globally: the filtered state must match
-    T†T within tol (relative), and the generator family must be normal and
-    pairwise commuting within tol scaled by the squared generator norm;
-    otherwise StructureViolation is raised.  The reconstruction residual and
-    the block-consistency gap delta_norm both come from the one residual
-    matrix rho_f - T†T.  Returns the form together with diagnostics.
+    Hermitian eigendecomposition of the state (see ppt._admit), then corner
+    rank == N (RankMismatch).  After filtering, the generators are read from
+    the last block row and the structural claim is validated globally: the
+    filtered state must match T†T within tol (relative), and the generator
+    family must be normal and pairwise commuting within tol scaled by the
+    squared generator norm; otherwise StructureViolation is raised.  The
+    reconstruction residual and the block-consistency gap delta_norm both
+    come from the one residual matrix rho_f - T†T.  Returns the form
+    together with diagnostics.
     """
-    if _admit(state) is None:
+    if not _admit(state):
         _require_rank(state)
     return _extract_admitted(state, tol)
 

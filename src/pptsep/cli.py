@@ -6,7 +6,8 @@ a single JSON document; human-readable diagnostics go to stderr.  Exit codes:
     0  success / property verified
     1  verified negative (not PPT, or ensemble fails its check)
     2  input or usage error (unreadable/malformed files, bad flag values,
-       an --ea/--fb whose length does not fit the state's dims)
+       an --ea/--fb whose length does not fit the state's dims, or that is
+       zero, non-finite or of an overflowing norm)
     3  precondition failure in the pipeline (the JSON carries the typed error
        name: RankMismatch, NoWitness, NotPptError, StructureViolation, ...)
 """
@@ -101,9 +102,12 @@ def _parse_complex_vector(text: str, name: str, length: int) -> np.ndarray:
     if len(vals) != length:
         raise ValueError(f"{name}: the state's dims need {length} components, got {len(vals)}")
     vec = np.asarray(vals, dtype=complex)
-    norm = np.linalg.norm(vec)
+    with np.errstate(over="ignore"):  # an overflowing norm is refused below
+        norm = np.linalg.norm(vec)
     if norm == 0:
         raise ValueError(f"{name}: zero vector")
+    if not (np.all(np.isfinite(vec)) and norm < math.inf):
+        raise ValueError(f"{name}: components and norm must be finite, got {text!r}")
     return vec / norm
 
 

@@ -29,10 +29,8 @@ from .errors import (
 )
 from .canonical import (
     CanonicalForm,
-    _admit,
     _commutator_max,
     _extract_admitted,
-    _require_rank,
     find_witness,
     rotate_to_corner,
 )
@@ -47,6 +45,7 @@ from .linalg import (
     hermitize,
     psd_sqrt,
 )
+from .ppt import _admit, _require_rank
 
 # decompose no longer calls these two, but benchmarks/spans.py traces calls
 # through both module attributes, so they stay importable from here.
@@ -194,20 +193,18 @@ def simultaneous_diagonalize(
     if refine_by is not None:
         refine = hermitize(np.asarray(refine_by, dtype=complex))
         vals = np.array([np.diag(dagger(u) @ g @ u) for g in gens])
-        used = np.zeros(n, dtype=bool)
-        for i in range(n):
-            if used[i]:
+        # Equal joint eigenvalues give equal eigenvalues of h, which eigh
+        # returns as adjacent columns: a group is a run of columns within
+        # accept of its first column.
+        start = 0
+        for j in range(1, n + 1):
+            if j < n and float(np.max(np.abs(vals[:, start] - vals[:, j]))) <= accept:
                 continue
-            grp = [i]
-            used[i] = True
-            for j in range(i + 1, n):
-                if not used[j] and float(np.max(np.abs(vals[:, i] - vals[:, j]))) <= accept:
-                    grp.append(j)
-                    used[j] = True
-            if len(grp) > 1:
-                sub = u[:, grp]
+            if j - start > 1:
+                sub = u[:, start:j]
                 _, v = np.linalg.eigh(hermitize(dagger(sub) @ refine @ sub))
-                u[:, grp] = sub @ v
+                u[:, start:j] = sub @ v
+            start = j
 
     u = _phase_fix(u)
     values = tuple(np.diag(dagger(u) @ g @ u).copy() for g in gens)
@@ -264,7 +261,7 @@ def decompose(
 
     The input is admitted before any witness is sought by four shifted
     Cholesky certificates, one per mask none, A, B and C (see
-    canonical._admit), invariant under the local rotation that follows.  On
+    ppt._admit), invariant under the local rotation that follows.  On
     the success path no eigendecomposition of the state runs: the rank
     precondition is "within tol of rank N", the certificate's own standard.
     By Eckart-Young-Mirsky, the certified N-term ensemble bounds the
@@ -289,7 +286,7 @@ def decompose(
 
     The returned ensemble has been verified by reconstruction at tol.
     """
-    spectrum = _admit(state)
+    rank_tested = _admit(state)
     try:
         w = find_witness(state, witness, samples=samples, seed=seed, e_a=e_a, f_b=f_b)
         if w is None:
@@ -307,7 +304,7 @@ def decompose(
                 f"candidate ensemble failed certification: {'; '.join(failures)}"
             )
     except PptSepError:
-        if spectrum is None:  # a spectrum from _admit has passed the rank test
+        if not rank_tested:
             _require_rank(state)
         raise
     return ensemble

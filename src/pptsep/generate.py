@@ -20,7 +20,6 @@ from .linalg import (
     TripartiteState,
     dagger,
     hermitize,
-    kron,
     psd_sqrt,
 )
 
@@ -100,7 +99,7 @@ def assemble_canonical_state(
         local_u_b=np.eye(dims.m, dtype=complex),
     )
     t = form.t_matrix()
-    lift = kron(np.eye(dims.k * dims.m, dtype=complex), psd_sqrt(form.f))
+    lift = np.kron(np.eye(dims.k * dims.m, dtype=complex), psd_sqrt(form.f))
     rho = hermitize(lift @ (dagger(t) @ t) @ lift)
     tr = float(rho.trace().real)
     return TripartiteState(dims, rho / tr), replace(form, f=form.f / tr)
@@ -159,16 +158,16 @@ def shifts_product_vectors(variant: str = "corrected") -> list[np.ndarray]:
     plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
     minus = np.array([1, -1], dtype=complex) / np.sqrt(2)
     if variant == "corrected":
-        third = kron(kron(plus, zero), one)
+        third = np.kron(np.kron(plus, zero), one)
     elif variant == "literal":
-        third = kron(kron(plus, one), zero)
+        third = np.kron(np.kron(plus, one), zero)
     else:
         raise ValueError(f"unknown variant {variant!r}")
     return [
-        kron(kron(zero, one), plus),
-        kron(kron(one, plus), zero),
+        np.kron(np.kron(zero, one), plus),
+        np.kron(np.kron(one, plus), zero),
         third,
-        kron(kron(minus, minus), minus),
+        np.kron(np.kron(minus, minus), minus),
     ]
 
 

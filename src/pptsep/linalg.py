@@ -186,11 +186,6 @@ class TripartiteState:
         return self.dims.total
 
 
-def kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Kronecker product with complex coercion."""
-    return np.kron(np.asarray(x, dtype=complex), np.asarray(y, dtype=complex))
-
-
 def partial_transpose(state: TripartiteState, mask: SubsystemMask) -> np.ndarray:
     """Transpose the masked subsystems of the state.
 
@@ -232,7 +227,8 @@ def sandwich_ab(state: TripartiteState, e_a: np.ndarray, f_b: np.ndarray) -> np.
         raise DimensionMismatch(
             f"witness vectors need shapes ({k},) and ({m},), got {e_a.shape} and {f_b.shape}"
         )
-    if abs(np.linalg.norm(e_a) - 1.0) > VEC_TOL or abs(np.linalg.norm(f_b) - 1.0) > VEC_TOL:
+    # Written so that a NaN norm fails it too.
+    if not all(abs(np.linalg.norm(v) - 1.0) <= VEC_TOL for v in (e_a, f_b)):
         raise NormalizationError("witness vectors must be unit vectors")
     return _sandwiches(state, e_a[None], f_b[None])[0]
 
@@ -312,7 +308,7 @@ def conjugate_local(
     if u_a is not None or u_b is not None:
         u_a = np.eye(k, dtype=complex) if u_a is None else u_a
         u_b = np.eye(m, dtype=complex) if u_b is None else u_b
-        u_ab = kron(u_a, u_b)
+        u_ab = np.kron(u_a, u_b)
         perm = _permutation_of(u_ab)
         if perm is not None:
             if u_c is None and np.array_equal(perm, np.arange(km)):

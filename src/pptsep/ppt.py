@@ -5,10 +5,10 @@ masks, but only four matrices are examined: transposing a subsystem set and
 transposing its complement give matrices that are transposes of each other,
 hence share a spectrum.  The verdict for {B, C} is therefore read off the
 {A} mask, and so on.  The report takes the four spectra; the admission gate
-of the canonical form needs only yes/no for all four, and settles each by
-shifted Cholesky certificates (_psd_verdict) where that is provably exact.
-It decomposes the state itself only when a certificate fails or cannot
-decide, and then hands that one spectrum on for the rank test.
+of the canonical form (_admit) needs only yes/no for all four, and settles
+each by shifted Cholesky certificates (_psd_verdict) where that is provably
+exact.  It decomposes the state itself only when a certificate fails or
+cannot decide, and then tests the rank on that one spectrum.
 
 Every matrix examined here is exactly Hermitian without a further projection:
 TripartiteState stores the Hermitian part of its input, and a partial
@@ -22,11 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NotPptError, RankMismatch
 from .linalg import (
     ALL_MASKS,
     PPT_TOL,
     SubsystemMask,
     TripartiteState,
+    _rank_above_cutoff,
     partial_transpose,
 )
 
@@ -107,17 +109,40 @@ def _by_mask(values: list) -> list:
     return [of[m] if m in of else of[m.complement()] for m in ALL_MASKS]
 
 
-def _ppt_admission(state: TripartiteState) -> tuple[np.ndarray | None, list[str]]:
-    """The masks ppt_report would fail, in its order, and rho's spectrum if it was needed.
+def _require_rank(state: TripartiteState, spectrum: np.ndarray | None = None) -> None:
+    """Raise RankMismatch unless the state's numeric rank is N.
+
+    The rank is read off the state's Hermitian spectrum (computed here when
+    not given) with numeric_rank's rule, since the singular values of a
+    Hermitian matrix are |lambda|; no SVD runs.  Raised from None: when it
+    replaces a later refusal, that refusal is not chained to it.
+    """
+    if spectrum is None:
+        spectrum = np.linalg.eigvalsh(state.rho)
+    n = state.dims.n
+    state_rank = _rank_above_cutoff(np.abs(spectrum), state.side)
+    if state_rank != n:
+        raise RankMismatch(
+            f"state rank {state_rank} != N = {n}; canonical form does not apply"
+        ) from None
+
+
+def _admit(state: TripartiteState) -> bool:
+    """The PPT gate of the construction; returns whether it tested the rank.
 
     Masks A, B and C are settled by _psd_verdict at ppt_report's default
-    tolerance, then mask "none" by the same Cholesky bracket on rho itself.
-    When all four are certified PSD, no eigendecomposition runs and the
-    spectrum is None.  Otherwise (a failed verdict, or a bracket on rho that
-    cannot decide) rho is decomposed once: its smallest eigenvalue settles
-    mask "none", and its ascending spectrum is returned for the caller's rank
-    test.  The matrices live only in this frame, so a caller that raises on
-    the result does not keep them alive through its traceback.
+    tolerance, PPT_TOL * trace(rho), then mask "none" by the same Cholesky
+    bracket on rho itself, so the verdict is ppt_report's.  When all four are
+    certified PSD, no eigendecomposition runs, the rank is not tested, and
+    False is returned: a caller that goes on to certify an N-term ensemble
+    has shown that rho lies within its tol of rank N, and one that meets a
+    refusal first tests the rank with _require_rank.  Otherwise (a failed
+    verdict, or a bracket on rho that cannot decide) rho is decomposed once,
+    and that spectrum gives mask "none" and the rank: RankMismatch unless
+    the rank is N, then NotPptError naming every failing mask in
+    ppt_report's order.  A state that passes both returns True.  Both
+    verdicts are invariant under local unitaries, so they may be taken
+    before or after a rotation to the corner.
     """
     tol = _default_tol(state)
     norm_f = float(np.linalg.norm(state.rho))
@@ -132,10 +157,14 @@ def _ppt_admission(state: TripartiteState) -> tuple[np.ndarray | None, list[str]
     # bracket runs only while every masked verdict has passed; a bracket that
     # fails or cannot decide (None) leaves the verdict to that spectrum.
     if all(passed) and _psd_certificate(state.rho, tol, norm_f):
-        return None, []
+        return False
     spectrum = np.linalg.eigvalsh(state.rho)
     passed.insert(0, float(spectrum[0]) >= -tol)
-    return spectrum, [mask.label for mask, ok in zip(ALL_MASKS, _by_mask(passed)) if not ok]
+    failing = [mask.label for mask, ok in zip(ALL_MASKS, _by_mask(passed)) if not ok]
+    _require_rank(state, spectrum)
+    if failing:
+        raise NotPptError(f"state is not PPT (failing masks: {', '.join(failing)})")
+    return True
 
 
 def _cholesky_succeeds(x: np.ndarray, shift: float) -> bool:

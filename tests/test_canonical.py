@@ -34,8 +34,13 @@ from pptsep import (
     sandwich_ab,
     shifts_complement_state,
 )
-from pptsep.canonical import _commutator_max, _completion_unitary, _kernel_residual
-from pptsep.linalg import SANDWICH_CHUNK_BYTES, _permutation_of, dagger
+from pptsep.canonical import (
+    _commutator_max,
+    _completion_unitary,
+    _extract_admitted,
+    _kernel_residual,
+)
+from pptsep.linalg import CERT_TOL, SANDWICH_CHUNK_BYTES, _family_scale, _permutation_of, dagger
 
 
 def unit(dim, idx):
@@ -130,6 +135,15 @@ class TestFindWitness:
         state = identity_corner_state(TripartiteDims(3, 3, 2))
         with pytest.raises(NormalizationError):
             find_witness(state, "explicit", e_a=unit(3, 0), f_b=2 * unit(3, 0))
+
+    @pytest.mark.parametrize("side", ["e_a", "f_b"])
+    def test_explicit_nan_vector(self, side):
+        """A NaN norm fails the unit check too, so no NaN sandwich reaches the SVD."""
+        state = identity_corner_state(TripartiteDims(3, 3, 2))
+        vectors = {"e_a": unit(3, 0), "f_b": unit(3, 0)}
+        vectors[side] = np.array([np.nan, 1.0, 0.0])
+        with pytest.raises(NormalizationError):
+            find_witness(state, "explicit", **vectors)
 
     @pytest.mark.parametrize("mode", ["corner", "search"])
     @pytest.mark.parametrize(
@@ -390,6 +404,56 @@ class TestExtractCanonical:
         lift = np.kron(np.eye(12), psd_sqrt(form.f))
         back = lift @ rho_f @ lift
         assert np.linalg.norm(back - state.rho) < 1e-10 * np.linalg.norm(state.rho)
+
+
+class TestExtractionBounds:
+    """_extract_admitted's two bounds, met at 0.5x and broken at 1.5x, without the admission."""
+
+    @pytest.mark.parametrize("factor, ok", [(0.5, True), (1.5, False)])
+    def test_reconstruction_residual(self, factor, ok):
+        """A traceless Hermitian term on block (0, 0), off the last block row and column,
+        leaves F and the generators as they are and moves only the filtered residual."""
+        dims = TripartiteDims(3, 3, 4)
+        state, _ = gen_canonical_state(GenSpec(dims=dims, seed=1))
+        n = dims.n
+        f = block(state, 8, 8)
+        s = psd_inv_sqrt(f)
+        rng = np.random.default_rng(0)
+        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        e = (z + z.conj().T) / 2 - np.eye(n) * np.trace(z).real / n
+        e *= factor * CERT_TOL * np.linalg.norm(filter_corner(state, f)) / np.linalg.norm(s @ e @ s)
+        rho = state.rho.copy()
+        rho[:n, :n] += e
+        perturbed = TripartiteState(dims, rho)
+        if ok:
+            _, diagnostics = _extract_admitted(perturbed, CERT_TOL)
+            assert diagnostics.reconstruction_residual == pytest.approx(
+                factor * CERT_TOL, rel=1e-3
+            )
+        else:
+            with pytest.raises(StructureViolation, match="reconstruction residual 1.5"):
+                _extract_admitted(perturbed, CERT_TOL)
+
+    @pytest.mark.parametrize("factor, ok", [(0.5, True), (1.5, False)])
+    def test_commutator(self, monkeypatch, factor, ok):
+        """The family defect is held to tol * s², with s > 1 here."""
+        state, _ = gen_canonical_state(
+            GenSpec(dims=TripartiteDims(3, 3, 4), seed=1, generator_scale=3.0)
+        )
+        scales = []
+
+        def defect(gens):
+            scales.append(_family_scale(gens))
+            return factor * CERT_TOL * scales[-1] ** 2
+
+        monkeypatch.setattr(pptsep.canonical, "_commutator_max", defect)
+        if ok:
+            _, diagnostics = _extract_admitted(state, CERT_TOL)
+            assert diagnostics.commutator_max == factor * CERT_TOL * scales[0] ** 2
+        else:
+            with pytest.raises(StructureViolation, match="commutator max"):
+                _extract_admitted(state, CERT_TOL)
+        assert scales[0] > 1
 
 
 class TestTMatrixLayout:

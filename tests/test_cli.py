@@ -118,7 +118,12 @@ class TestDecompose:
         assert code == 2
         assert doc is None
 
-    @pytest.mark.parametrize("ea", ["1,x", "0,0"], ids=["unparsable", "zero"])
+    @pytest.mark.filterwarnings("error")  # an overflowing norm is refused without a warning
+    @pytest.mark.parametrize(
+        "ea",
+        ["1,x", "0,0", "nan,1", "inf,1", "1e200,1e200"],
+        ids=["unparsable", "zero", "nan", "inf", "overflowing-norm"],
+    )
     def test_bad_explicit_vector_exits_two(self, capsys, ppt_state_file, ea):
         code, doc = run(
             capsys, "decompose", ppt_state_file, "--witness", "explicit", "--ea", ea, "--fb", "1,0"

@@ -1,9 +1,10 @@
 """The CLI contract as a property: any input ends in exit 0, 1, 2 or 3, never a traceback.
 
 Each example calls main(argv) in-process on a mutated copy of a valid (2, 2, 2)
-state or ensemble document, or on valid documents with one flag set to a bad
-value.  For exit codes 0, 1 and 3, stdout must hold exactly one strict
-RFC 8259 JSON document (no NaN or Infinity); for exit code 2 it must be empty.
+state or ensemble document, or on valid documents with one flag, or one vector
+of an explicit witness, set to a bad value.  For exit codes 0, 1 and 3, stdout
+must hold exactly one strict RFC 8259 JSON document (no NaN or Infinity); for
+exit code 2 it must be empty.
 """
 
 import contextlib
@@ -178,3 +179,18 @@ FLAG_VALUES = ["-1", "0", "-0.5", "nan", "inf", "-inf"]
 @example(command=FLAG_COMMANDS[6], value="inf")
 def test_bad_flag_value_keeps_the_contract(files, command, value):
     _check_contract(files, command + [value])
+
+
+# Two-component values of an explicit witness vector; the other vector is valid.
+WITNESS_VALUES = ["nan,1", "inf,0", "-inf,1", "1e200,1e200", "0,0", "1e-200,0"]
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(flag=st.sampled_from(["--ea", "--fb"]), value=st.sampled_from(WITNESS_VALUES))
+@example(flag="--ea", value="nan,1")
+def test_bad_witness_vector_keeps_the_contract(files, flag, value):
+    other = "--fb" if flag == "--ea" else "--ea"
+    # flag=value, so that "-inf,1" is read as a value rather than an option.
+    _check_contract(
+        files, ["decompose", STATE, "--witness", "explicit", other, "1,0", f"{flag}={value}"]
+    )

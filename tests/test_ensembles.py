@@ -14,6 +14,7 @@ from pptsep import (
     EnsembleTerm,
     GenSpec,
     NoWitness,
+    NormalizationError,
     NotPptError,
     RankMismatch,
     SeparableEnsemble,
@@ -26,6 +27,7 @@ from pptsep import (
     gen_canonical_state,
     gen_commuting_family,
     haar_unitary,
+    hermitize,
     identity_corner_state,
     numeric_rank,
     ppt_report,
@@ -35,6 +37,7 @@ from pptsep import (
     verify_ensemble,
 )
 from pptsep import ensembles
+from pptsep.linalg import CERT_TOL, TRACE_TOL, VEC_TOL
 
 
 def count_linalg_calls(monkeypatch, matches):
@@ -138,6 +141,44 @@ class TestSimultaneousDiagonalize:
         assert "residual 1.0e-08 in 8 attempts (best 1.500e+00)" in str(err.value)
         assert len(calls) == 8
 
+    @pytest.mark.parametrize(
+        "residuals, attempts",
+        [([0.5], 1), ([1.5, 0.5], 2), ([1.5], None)],
+        ids=["accepted", "retried", "refused"],
+    )
+    def test_accept_bound(self, monkeypatch, residuals, attempts):
+        """An off-diagonal residual of 0.5 * tol * s ends the attempts; one of 1.5 * tol * s
+        is retried, and refused after the last retry."""
+        g = np.diag([3.0, 1.0, 2.0]).astype(complex)  # s = ||g||_F > 1
+        accept = 1e-8 * np.linalg.norm(g)
+        calls = []
+
+        def offdiag(u, gens):
+            calls.append(1)
+            return residuals[min(len(calls), len(residuals)) - 1] * accept
+
+        monkeypatch.setattr(ensembles, "_offdiag_max", offdiag)
+        if attempts:
+            simultaneous_diagonalize([g], tol=1e-8)
+            assert len(calls) == attempts
+        else:
+            with pytest.raises(DegeneracyUnresolved):
+                simultaneous_diagonalize([g], tol=1e-8)
+
+    def test_degenerate_group_inside_the_spectrum_refined_by_filter(self):
+        """A double joint eigenvalue between two simple ones is one run of eigh's columns."""
+        rng = np.random.default_rng(4)
+        u = haar_unitary(4, rng)
+        g = u @ np.diag([1.0, 2.0, 2.0, 3.0]).astype(complex) @ u.conj().T
+        z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        f = z @ z.conj().T
+        table = simultaneous_diagonalize([g], refine_by=f)
+        group = np.flatnonzero(np.abs(table.values[0] - 2) < 1e-8)
+        assert len(group) == 2 and group[1] == group[0] + 1
+        sub = table.u[:, group]
+        compressed = sub.conj().T @ f @ sub
+        assert abs(compressed[0, 1]) < 1e-12 * np.linalg.norm(f)
+
     def test_degenerate_family_refined_by_filter(self):
         """With zero generators the refine hook hands the basis choice to F."""
         f = np.array([[0.5, 0.3], [0.3, 0.5]])
@@ -222,6 +263,12 @@ class TestDecomposeExamples:
         counts = count_linalg_calls(monkeypatch, lambda a: np.array_equal(a, f))
         decompose(state, witness="explicit", e_a=[0, 0, 1], f_b=[0, 0, 1])
         assert counts == {"eigvalsh": 1, "eigh": 2}
+
+    def test_nan_explicit_witness_is_a_typed_refusal(self):
+        """A NaN witness vector gives NormalizationError, not numpy's LinAlgError."""
+        state, _ = gen_canonical_state(GenSpec(dims=TripartiteDims(3, 3, 4), seed=2))
+        with pytest.raises(NormalizationError):
+            decompose(state, witness="explicit", e_a=[np.nan, 0, 1], f_b=[0, 0, 1])
 
     @pytest.mark.parametrize("mode", ["search", "corner"])
     def test_rank_refusal_decomposes_the_state_once(self, monkeypatch, mode):
@@ -457,3 +504,66 @@ class TestVerifyEnsemble:
         other = identity_corner_state(TripartiteDims(3, 3, 2))
         with pytest.raises(DimensionMismatch):
             verify_ensemble(other, ens)
+
+
+@pytest.fixture(scope="module")
+def certified():
+    """A state and its certified ensemble."""
+    state, _ = gen_canonical_state(GenSpec(dims=TripartiteDims(3, 3, 4), seed=3))
+    return state, decompose(state)
+
+
+def failed_invariants(state, ensemble):
+    """The first word of each failure line of the final certificate at CERT_TOL."""
+    _, failures = ensembles._certification_failures(state, ensemble, CERT_TOL)
+    return [line.split(" ")[0] for line in failures]
+
+
+EDGES = [(0.5, True), (1.5, False)]
+
+
+class TestCertificateEdges:
+    """Each bound of the final certificate is met at 0.5x and broken at 1.5x, alone."""
+
+    @pytest.mark.parametrize("factor, ok", EDGES)
+    def test_reconstruction_residual(self, certified, factor, ok):
+        """The ensemble against its own reconstruction plus a traceless Hermitian term."""
+        _, ens = certified
+        recon = ens.reconstruct()
+        rng = np.random.default_rng(0)
+        h = hermitize(rng.standard_normal(recon.shape) + 1j * rng.standard_normal(recon.shape))
+        h -= np.eye(len(h)) * h.trace() / len(h)
+        h *= factor * CERT_TOL * np.linalg.norm(recon) / np.linalg.norm(h)
+        state = TripartiteState(ens.dims, recon + h)
+        residual, ok_verdict = verify_ensemble(state, ens)
+        assert residual == pytest.approx(factor * CERT_TOL, rel=1e-6)
+        assert ok_verdict == ok
+        assert failed_invariants(state, ens) == ([] if ok else ["reconstruction"])
+
+    @pytest.mark.parametrize("factor, ok", EDGES)
+    def test_total_weight(self, certified, factor, ok):
+        state, ens = certified
+        scaled = replace(
+            ens, terms=tuple(replace(t, p=t.p * (1 + factor * TRACE_TOL)) for t in ens.terms)
+        )
+        assert abs(scaled.total_weight() - 1) == pytest.approx(factor * TRACE_TOL, rel=1e-3)
+        assert verify_ensemble(state, scaled)[1] == ok
+        assert failed_invariants(state, scaled) == ([] if ok else ["|sum"])
+
+    @pytest.mark.parametrize("factor, ok", EDGES)
+    def test_vector_norm(self, certified, factor, ok):
+        """One vector off unit length by factor * VEC_TOL.
+
+        Its term's projector grows by 2 * factor * VEC_TOL, which keeps the
+        residual far inside tol, so the term's p is left as it is: scaling p
+        back would move sum p by about as much, the size of TRACE_TOL.
+        """
+        state, ens = certified
+        t0 = ens.terms[0]
+        bumped = replace(
+            ens, terms=(replace(t0, vec_a=t0.vec_a * (1 + factor * VEC_TOL)),) + ens.terms[1:]
+        )
+        residual, ok_verdict = verify_ensemble(state, bumped)
+        assert residual < CERT_TOL / 10
+        assert ok_verdict == ok
+        assert failed_invariants(state, bumped) == ([] if ok else ["vector-norm"])

@@ -23,7 +23,6 @@ from pptsep import (
     dagger,
     hermitize,
     identity_corner_state,
-    kron,
     numeric_rank,
     partial_transpose,
     psd_inv_sqrt,
@@ -32,7 +31,7 @@ from pptsep import (
     sandwich_ab,
     shifts_complement_state,
 )
-from pptsep.linalg import _rank_above_cutoff, as_complex_matrix
+from pptsep.linalg import HERM_TOL, TRACE_TOL, _rank_above_cutoff, as_complex_matrix
 
 
 def random_state(dims, seed):
@@ -69,20 +68,6 @@ class TestMasks:
 
     def test_complement(self):
         assert SubsystemMask(True, False, False).complement() == SubsystemMask(False, True, True)
-
-
-class TestKron:
-    def test_identity_block_placement(self):
-        out = kron(np.array([[0, 1], [0, 0]]), np.eye(2))
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[0:2, 2:4] = np.eye(2)
-        np.testing.assert_array_equal(out, expected)
-
-    def test_trace_multiplicativity(self):
-        rng = np.random.default_rng(5)
-        x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        y = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        np.testing.assert_allclose(kron(x, y).trace(), x.trace() * y.trace(), rtol=1e-13)
 
 
 class TestPartialTranspose:
@@ -317,6 +302,30 @@ class TestStateValidation:
         rho[7, 6] = value
         with pytest.raises(ValueError, match="Frobenius norm overflows"):
             TripartiteState(TripartiteDims(2, 2, 2), rho)
+
+    @pytest.mark.parametrize("factor, ok", [(0.5, True), (1.5, False)])
+    def test_hermitian_defect_at_its_bound(self, factor, ok):
+        """The defect ||X - X†||_F is held to HERM_TOL * max(1, ||X||_F), here ||X||_F ~ 70."""
+        x = np.zeros((8, 8), dtype=complex)
+        x[0, 0], x[1, 1] = 50.0, -49.0
+        skew = np.zeros((8, 8), dtype=complex)
+        skew[0, 1], skew[1, 0] = 1.0, -1.0  # ||skew - skew†||_F = 2 sqrt(2)
+        raw = x + factor * HERM_TOL * np.linalg.norm(x) / (2 * np.sqrt(2)) * skew
+        if ok:
+            TripartiteState(TripartiteDims(2, 2, 2), raw)
+        else:
+            with pytest.raises(NotHermitianError):
+                TripartiteState(TripartiteDims(2, 2, 2), raw)
+
+    @pytest.mark.parametrize("factor, ok", [(0.5, True), (1.5, False)])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_trace_at_its_bound(self, factor, ok, sign):
+        raw = np.eye(8, dtype=complex) * (1 + sign * factor * TRACE_TOL) / 8
+        if ok:
+            TripartiteState(TripartiteDims(2, 2, 2), raw)
+        else:
+            with pytest.raises(NormalizationError):
+                TripartiteState(TripartiteDims(2, 2, 2), raw)
 
     def test_stores_its_own_read_only_hermitian_part(self):
         """rho is hermitize(input), exactly Hermitian, unaliased and read-only."""

@@ -13,6 +13,7 @@ from pptsep import (
     MASK_A,
     MASK_NONE,
     NotPptError,
+    RankMismatch,
     TripartiteDims,
     TripartiteState,
     ghz_vector,
@@ -27,7 +28,7 @@ from pptsep import (
     shifts_complement_state,
     conjugate_local,
 )
-from pptsep.canonical import _admit
+from pptsep.ppt import _admit
 
 
 def ghz_partial_transpose_oracle():
@@ -292,6 +293,19 @@ class TestAdmissionVerdicts:
         assert expected is not None
         counts = count_verdict_work(monkeypatch, state.side)
         assert gate_outcome(state) == expected
+        assert counts == {"eigvalsh": 4}
+
+    def test_margin_between_half_tol_and_tol_skips_the_certificate(self, monkeypatch):
+        """The guard is 2 beta < tol / 2: at 2 beta in [tol / 2, tol) only eigenvalues decide."""
+        diagonal = [7000.25] * 4 + [-7000.0] * 4  # trace 1
+        state = TripartiteState(TripartiteDims(2, 2, 2), np.diag(diagonal).astype(complex))
+        d, eps, tol = state.side, np.finfo(float).eps, 1e-9
+        c = d * (d + 1) * eps / (1 - (d + 1) * eps)
+        beta = c / (1 - c) * (np.linalg.norm(state.rho) + 1.5 * tol)
+        assert tol / 2 <= 2 * beta < tol
+        counts = count_verdict_work(monkeypatch, state.side)
+        with pytest.raises(RankMismatch):
+            _admit(state)
         assert counts == {"eigvalsh": 4}
 
     def test_gate_builds_the_partial_transposes_one_at_a_time(self, monkeypatch, bell_mixture):
