@@ -104,11 +104,17 @@ def _parse_complex_vector(text: str, name: str, length: int) -> np.ndarray:
     vec = np.asarray(vals, dtype=complex)
     with np.errstate(over="ignore"):  # an overflowing norm is refused below
         norm = np.linalg.norm(vec)
-    if norm == 0:
-        raise ValueError(f"{name}: zero vector")
     if not (np.all(np.isfinite(vec)) and norm < math.inf):
         raise ValueError(f"{name}: components and norm must be finite, got {text!r}")
-    return vec / norm
+    largest = np.abs(vec).max()
+    if largest == 0:
+        raise ValueError(f"{name}: zero vector")
+    # Scaled first by the power of two just above the largest |component|, which
+    # is exact, so a norm whose squares underflow (1e-200) is not taken for
+    # zero and any other vector gives the same bits as vec / norm.
+    exponent = -np.frexp(largest)[1]
+    vec.real, vec.imag = np.ldexp(vec.real, exponent), np.ldexp(vec.imag, exponent)
+    return vec / np.linalg.norm(vec)
 
 
 def cmd_check_ppt(args) -> int:

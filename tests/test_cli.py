@@ -19,7 +19,7 @@ from pptsep import (
     save_state,
     verify_ensemble,
 )
-from pptsep.cli import MAX_SAMPLES, MAX_STATE_SIDE, build_parser, main
+from pptsep.cli import MAX_SAMPLES, MAX_STATE_SIDE, _parse_complex_vector, build_parser, main
 
 
 def run(capsys, *argv):
@@ -130,6 +130,21 @@ class TestDecompose:
         )
         assert code == 2
         assert doc is None
+
+    @pytest.mark.parametrize("text", ["0.6,0.8", "1,3", "0.6+0.1j,-0.8", "-7e-3,2e150"])
+    def test_explicit_vector_is_divided_by_its_norm(self, text):
+        """Any vector whose norm is finite and nonzero gives the bits of vec / norm(vec)."""
+        vec = np.array([complex(tok) for tok in text.split(",")])
+        unit = _parse_complex_vector(text, "--ea", 2)
+        assert unit.tobytes() == (vec / np.linalg.norm(vec)).tobytes()
+
+    def test_underflowing_explicit_vector_is_its_direction(self, capsys, ppt_state_file):
+        """A vector whose squared norm underflows is normalized, not refused as zero."""
+        argv = ["decompose", ppt_state_file, "--witness", "explicit", "--fb", "1,0"]
+        assert main([*argv, "--ea", "1e-200,0"]) == 0
+        tiny = capsys.readouterr().out
+        assert main([*argv, "--ea", "1,0"]) == 0
+        assert tiny == capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "ea, fb", [("1,0,0", "1,0"), ("1,0", "1"), ("1", "1,0,0")], ids=["ea", "fb", "both"]

@@ -243,15 +243,15 @@ class TestDecomposeExamples:
         ids=["search", "explicit"],
     )
     def test_one_set_of_spectra_per_decomposition(self, monkeypatch, kwargs):
-        """decompose runs 4 Cholesky and no eigvalsh, SVD or eigh on KMN x KMN matrices.
+        """decompose runs no eigvalsh, SVD, eigh or Cholesky on KMN x KMN matrices.
 
-        Each of masks none, A, B and C is certified PSD by one Cholesky
-        factorization; the state's spectrum is never needed on success.
+        Each of masks none, A, B and C is certified PSD by its N-pivot
+        certificate; the state's spectrum is never needed on success.
         """
         state, _ = gen_canonical_state(GenSpec(dims=TripartiteDims(3, 3, 4), seed=2))
         counts = count_full_size_calls(monkeypatch, state.side)
         decompose(state, **kwargs)
-        assert counts == {"cholesky": 4}
+        assert counts == {}
 
     def test_corner_block_is_decomposed_without_an_svd(self, monkeypatch):
         """One eigvalsh of F gives its rank and condition number; no SVD of F runs.
@@ -272,15 +272,17 @@ class TestDecomposeExamples:
 
     @pytest.mark.parametrize("mode", ["search", "corner"])
     def test_rank_refusal_decomposes_the_state_once(self, monkeypatch, mode):
-        """A PPT state of rank 4 passes the four certificates, and a later refusal
-        is replaced by RankMismatch from the one fallback spectrum."""
+        """A PPT state of rank 4 > N = 2 is proved PSD by no N-pivot certificate; the
+        state's one spectrum gives RankMismatch before any mask is decomposed."""
         state = shifts_complement_state()
         counts = count_full_size_calls(monkeypatch, state.side)
+        own = count_linalg_calls(monkeypatch, lambda a: a is state.rho)
         with pytest.raises(RankMismatch) as info:
             decompose(state, witness=mode)
         assert str(info.value) == "state rank 4 != N = 2; canonical form does not apply"
         assert info.value.__suppress_context__
-        assert counts == {"cholesky": 4, "eigvalsh": 1}
+        assert counts == {"eigvalsh": 1}
+        assert own == {"eigvalsh": 1}
 
     def test_no_witness_refusal_decomposes_the_state_once(self, monkeypatch):
         """A rank-N state with no corner witness keeps NoWitness after the rank test."""
@@ -290,15 +292,16 @@ class TestDecomposeExamples:
         counts = count_full_size_calls(monkeypatch, state.side)
         with pytest.raises(NoWitness):
             decompose(state, witness="corner")
-        assert counts == {"cholesky": 4, "eigvalsh": 1}
+        assert counts == {"eigvalsh": 1}
 
     @pytest.mark.parametrize("mode", ["search", "corner"])
     def test_npt_refusal_decomposes_only_the_state(self, monkeypatch, bell_mixture, mode):
-        """Masks A and B fail both Cholesky brackets; only the state itself is decomposed."""
+        """Masks A and B are refuted on a principal submatrix; only the state itself is
+        decomposed."""
         counts = count_full_size_calls(monkeypatch, bell_mixture.side)
         with pytest.raises(NotPptError):
             decompose(bell_mixture, witness=mode)
-        assert counts == {"eigvalsh": 1, "cholesky": 5}
+        assert counts == {"eigvalsh": 1}
 
     def test_npt_refusal_keeps_no_matrix_alive(self, bell_mixture):
         """The refusal's traceback frames hold no KMN x KMN matrix besides the input's.

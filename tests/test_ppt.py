@@ -6,6 +6,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pptsep.ppt as ppt
 from pptsep import (
@@ -16,19 +18,21 @@ from pptsep import (
     RankMismatch,
     TripartiteDims,
     TripartiteState,
+    assemble_canonical_state,
     ghz_vector,
     gen_canonical_state,
     gen_npt_control,
     GenSpec,
     haar_unitary,
     hermitize,
+    numeric_rank,
     partial_transpose,
     ppt_report,
     qubit_corner_state,
     shifts_complement_state,
     conjugate_local,
 )
-from pptsep.ppt import _admit
+from pptsep.ppt import _admit, _psd_verdict
 
 
 def ghz_partial_transpose_oracle():
@@ -217,35 +221,43 @@ def report_outcome(state):
 
 
 def count_verdict_work(monkeypatch, side):
-    """Count Cholesky outcomes of the verdict helper and full-size eigvalsh calls."""
+    """Count the certificate outcomes of _psd_verdict and full-size eigvalsh calls."""
     counts = Counter()
-    real_cholesky, real_eigvalsh = ppt._cholesky_succeeds, np.linalg.eigvalsh
+    names = {True: "certified", False: "refuted", None: "undecided"}
+    real_verdict, real_eigvalsh = ppt._psd_verdict, np.linalg.eigvalsh
 
-    def cholesky(x, shift):
-        ok = real_cholesky(x, shift)
-        counts["cholesky-ok" if ok else "cholesky-fails"] += 1
-        return ok
+    def verdict(x, *args):
+        outcome = real_verdict(x, *args)
+        counts[names[outcome]] += 1
+        return outcome
 
     def eigvalsh(a, *args, **kw):
         if np.shape(a) == (side, side):
             counts["eigvalsh"] += 1
         return real_eigvalsh(a, *args, **kw)
 
-    monkeypatch.setattr(ppt, "_cholesky_succeeds", cholesky)
+    monkeypatch.setattr(ppt, "_psd_verdict", verdict)
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
     return counts
 
 
-# Work of the masked verdicts per branch of the A and B verdicts (which share
-# one spectrum); mask C is PSD and passes by Cholesky.
-BRANCH_COUNTS = {
-    "cholesky-pass": {"cholesky-ok": 3},
-    "eigvalsh": {"cholesky-fails": 2, "cholesky-ok": 3, "eigvalsh": 2},
-    "cholesky-fail": {"cholesky-fails": 4, "cholesky-ok": 1},
+# The regime of the A and B minimum -c * tol that each branch label names:
+# x + (tol/2) I has a Cholesky factor, neither shift settles it, or
+# x + (3 tol/2) I has none.
+BRANCH_C = {"cholesky-pass": (0, 0.5), "eigvalsh": (0.5, 1.5), "cholesky-fail": (1.5, np.inf)}
+THRESHOLD_C = (0.3, 0.49, 0.51, 0.9, 0.999, 1.0, 1.001, 1.1, 1.49, 1.51, 3.0)
+# The certificate's outcome on masks A and B, by dims and c: T proves the mask
+# PSD, F refutes it, N leaves it to the mask's eigvalsh.  Mask C is PSD and
+# certified throughout.  ||x - LL†||_F is about 2 c tol here, so only c below
+# about 1/2 is proved PSD; a refutation needs lambda_min(x[Q, Q]) below -tol.
+AB_OUTCOMES = {
+    (2, 2, 2): dict(zip(THRESHOLD_C, "TT NN NN NN NN NN NN NN FF FF FF".split())),
+    (3, 3, 4): dict(zip(THRESHOLD_C, "TT TT TN NN NN NN NN NN NN NN NF".split())),
 }
-# Then the state's own work: one Cholesky certificate when every masked
-# verdict passed, else one eigvalsh, whose spectrum also gives the rank.
-STATE_COUNTS = {True: {"cholesky-ok": 1}, False: {"eigvalsh": 1}}
+OUTCOME_WORK = {"T": {"certified": 1}, "F": {"refuted": 1}, "N": {"undecided": 1, "eigvalsh": 1}}
+# Then the state's own work: one certificate (PSD throughout) while no mask
+# is refuted, and one eigvalsh, whose spectrum also gives the rank, when the
+# state is refused.
 
 
 class TestAdmissionVerdicts:
@@ -268,6 +280,8 @@ class TestAdmissionVerdicts:
     )
     def test_gate_matches_report_at_the_threshold(self, monkeypatch, dims, c, branch):
         """Near lambda_min = -tol the gate refuses exactly when ppt_report fails a mask."""
+        low, high = BRANCH_C[branch]
+        assert low < c < high
         state = boundary_state(dims, c)
         report = ppt_report(state)
         assert report.entry(MASK_A).min_eigenvalue == pytest.approx(-c * 1e-9, abs=1e-12)
@@ -276,10 +290,19 @@ class TestAdmissionVerdicts:
             assert (expected is None) == (c < 1)
         counts = count_verdict_work(monkeypatch, state.side)
         assert gate_outcome(state) == expected
-        assert counts == Counter(BRANCH_COUNTS[branch]) + Counter(STATE_COUNTS[expected is None])
+        outcomes = AB_OUTCOMES[dims][c]
+        work = Counter({"certified": 1 + ("F" not in outcomes), "eigvalsh": expected is not None})
+        for outcome in outcomes:
+            work += Counter(OUTCOME_WORK[outcome])
+        assert counts == work
 
     def test_large_norm_skips_the_certificate(self, monkeypatch):
-        """Where the Cholesky error bound reaches tol / 2, only eigenvalues decide."""
+        """Where eigvalsh's error bound nears tol, the masks are refuted.
+
+        At ||rho||_F about 4e4 that bound is about 0.7 tol at d = 8, so no
+        mask could be proved PSD; the strongly negative masks are refuted on
+        a principal submatrix, and only the state itself is decomposed.
+        """
         dims = TripartiteDims(2, 2, 2)
         big = 3e4
         phi = np.zeros(8, dtype=complex)
@@ -293,20 +316,23 @@ class TestAdmissionVerdicts:
         assert expected is not None
         counts = count_verdict_work(monkeypatch, state.side)
         assert gate_outcome(state) == expected
-        assert counts == {"eigvalsh": 4}
+        assert counts == {"refuted": 3, "eigvalsh": 1}
 
     def test_margin_between_half_tol_and_tol_skips_the_certificate(self, monkeypatch):
-        """The guard is 2 beta < tol / 2: at 2 beta in [tol / 2, tol) only eigenvalues decide."""
+        """With eigvalsh's error bound between tol / 4 and tol / 2, mask A is refuted.
+
+        The refutation adds that bound to its margin, which a minimum of
+        -7000 clears.  The state's one spectrum then gives rank 8, and
+        RankMismatch is raised before masks B and C are examined.
+        """
         diagonal = [7000.25] * 4 + [-7000.0] * 4  # trace 1
         state = TripartiteState(TripartiteDims(2, 2, 2), np.diag(diagonal).astype(complex))
-        d, eps, tol = state.side, np.finfo(float).eps, 1e-9
-        c = d * (d + 1) * eps / (1 - (d + 1) * eps)
-        beta = c / (1 - c) * (np.linalg.norm(state.rho) + 1.5 * tol)
-        assert tol / 2 <= 2 * beta < tol
+        beta = eigvalsh_error(state.side, np.linalg.norm(state.rho))
+        assert TOL / 4 <= beta < TOL / 2
         counts = count_verdict_work(monkeypatch, state.side)
         with pytest.raises(RankMismatch):
             _admit(state)
-        assert counts == {"eigvalsh": 4}
+        assert counts == {"refuted": 1, "eigvalsh": 1}
 
     def test_gate_builds_the_partial_transposes_one_at_a_time(self, monkeypatch, bell_mixture):
         """Each partial transpose is freed before the next one is built."""
@@ -324,3 +350,172 @@ class TestAdmissionVerdicts:
             _admit(bell_mixture)
         assert len(built) == 3
         assert alive_at_build == [0, 0, 0]
+
+
+TOL = 1e-9
+EPS = np.finfo(float).eps
+
+
+def gamma(m):
+    return m * EPS / (1 - m * EPS)
+
+
+def eigvalsh_error(size, norm):
+    """eigvalsh's backward-error bound as _psd_verdict assumes it: c / (1 - c) * norm."""
+    c = size * gamma(size + 1)
+    return c / (1 - c) * norm
+
+
+def pivots_and_residual(top, residual):
+    """An exactly Hermitian blockdiag(top, diag(residual)), top 2 x 2 and dominant.
+
+    N = 2 pivots take top, whose off-block rows are zero, so the residual
+    left by the certificate is diag(residual) itself.
+    """
+    x = np.zeros((2 + len(residual),) * 2, dtype=complex)
+    x[:2, :2] = top
+    x[2:, 2:] = np.diag(residual)
+    return x
+
+
+def verdict(x):
+    return _psd_verdict(x, TOL, float(np.linalg.norm(x)), 2)
+
+
+# An O(1) positive definite top block, whose factor rounds at the 1e-16 level.
+SMALL_TOP = np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]])
+# A top block of norm about 2.3e4 that has the exact factor diag(128, 128), so
+# the residual is exact and eigvalsh's error bound nears tol / 2 at d = 8.
+LARGE_TOP = np.diag([16384.0, 16384.0])
+
+
+class TestCertificateEdges:
+    """_psd_verdict's two bounds, met at 0.5x and broken at 1.5x."""
+
+    @pytest.mark.parametrize("c,expected", [(0.5, True), (1.5, None)])
+    def test_residual_norm(self, c, expected):
+        """||x - LL†||_F at 0.5 tol proves PSD; at 1.5 tol, spread over signs so that
+        eigvalsh still passes, it leaves the verdict to eigvalsh."""
+        residual = c * TOL / np.sqrt(6) * np.array([1, -1, 1, -1, 1, -1])
+        x = pivots_and_residual(SMALL_TOP, residual)
+        assert np.linalg.eigvalsh(x)[0] >= -TOL
+        assert verdict(x) is expected
+
+    @pytest.mark.parametrize("slack,expected", [(0.5, None), (2.0, True)])
+    def test_rounding_and_eigvalsh_terms(self, slack, expected):
+        """The success bound counts eigvalsh's error and the gamma_{k+1} ||L||_F² term.
+
+        The residual norm is tol - beta - slack * g, with g = gamma_3 ||L||_F² the
+        rounding term of the product LL† (k = 2): it proves PSD at slack 2, not at
+        slack 1/2.
+        """
+        x = pivots_and_residual(LARGE_TOP, np.zeros(6))
+        beta = eigvalsh_error(8, np.linalg.norm(x))
+        g = gamma(3) * 2 * 16384.0
+        assert 0.3 * TOL < beta < 0.5 * TOL and g > 0.01 * TOL
+        x[2:, 2:] = np.diag([TOL - beta - slack * g, 0, 0, 0, 0, 0])
+        assert verdict(x) is expected
+
+    @pytest.mark.parametrize("c,expected", [(0.5, None), (0.75, None), (1.5, False)])
+    def test_principal_submatrix_minimum(self, c, expected):
+        """A minimum of x[Q, Q] at -1.5 tol refutes; at -0.5 or -0.75 tol it does not.
+
+        The positive entries keep ||x - LL†||_F above tol, so the success side
+        cannot decide.
+        """
+        x = pivots_and_residual(SMALL_TOP, np.array([2, -c, 2, 0, 0, 0]) * TOL)
+        assert np.linalg.eigvalsh(x)[0] == pytest.approx(-c * TOL, rel=1e-12)
+        assert verdict(x) is expected
+
+    @pytest.mark.parametrize("slack,expected", [(0.5, None), (2.0, False)])
+    def test_refutation_counts_both_eigvalsh_errors(self, slack, expected):
+        """The refutation counts eigvalsh's error on x and on x[Q, Q].
+
+        Q is the two pivots, the most negative diagonal entry and one zero,
+        and the minimum is -tol - beta(x) - slack * beta(x[Q, Q]).
+        """
+        x = pivots_and_residual(LARGE_TOP, np.zeros(6))
+        beta = eigvalsh_error(8, np.linalg.norm(x))
+        beta_q = eigvalsh_error(4, np.linalg.norm(LARGE_TOP))
+        assert beta > 3 * beta_q > 0.1 * TOL
+        x[2, 2] = -TOL - beta - slack * beta_q
+        assert verdict(x) is expected
+
+
+def rank_n_npt_state(dims, seed):
+    """A rank-N state with non-commuting generators, so that it is not PPT."""
+    k, m, n = dims.as_tuple()
+    rng = np.random.default_rng(seed)
+    gens = [
+        (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2 * n)
+        for _ in range((m - 1) + (k - 1))
+    ]
+    q = haar_unitary(n, rng)
+    f = q @ np.diag(np.exp(rng.uniform(-2.3, 2.3, n))) @ q.conj().T
+    return assemble_canonical_state(dims, gens[: m - 1], gens[m - 1 :], f)[0]
+
+
+def admission_result(state):
+    """_admit's refusal as (class name, message), or None."""
+    try:
+        _admit(state)
+    except (RankMismatch, NotPptError) as err:
+        return type(err).__name__, str(err)
+    return None
+
+
+def derived_result(state):
+    """The refusal that ppt_report and the numeric rank call for, or None."""
+    rank, n = numeric_rank(state.rho), state.dims.n
+    if rank != n:
+        return "RankMismatch", f"state rank {rank} != N = {n}; canonical form does not apply"
+    message = report_outcome(state)
+    return None if message is None else ("NotPptError", message)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(
+    kind=st.sampled_from(["ppt", "npt", "noise"]),
+    k=st.integers(2, 3),
+    m=st.integers(2, 3),
+    n=st.sampled_from([2, 3, 5, 6]),
+    seed=st.integers(0, 2**16),
+    scrambled=st.booleans(),
+    p=st.floats(0.05, 1.0),
+)
+def test_gate_matches_report_off_powers_of_two(kind, k, m, n, seed, scrambled, p):
+    """_admit refuses with the class and message that ppt_report and the rank derive."""
+    dims = TripartiteDims(k, m, n)
+    if kind == "ppt":
+        state = gen_canonical_state(GenSpec(dims, seed))[0]
+    elif kind == "npt":
+        state = rank_n_npt_state(dims, seed)
+    else:
+        state = gen_npt_control(dims, p=p, seed=seed)
+    if scrambled:
+        rng = np.random.default_rng([seed, 1])
+        state = conjugate_local(state, *(haar_unitary(s, rng) for s in (k, m, n)))
+    assert admission_result(state) == derived_result(state)
+
+
+def test_large_rank_n_state_is_admitted_without_a_full_eigvalsh(monkeypatch):
+    """At (8,8,8) every mask is certified PSD: no 512 x 512 eigvalsh runs."""
+    state, _ = gen_canonical_state(GenSpec(TripartiteDims(8, 8, 8), 1))
+    counts = count_verdict_work(monkeypatch, state.side)
+    assert _admit(state) is False
+    assert counts == {"certified": 4}
+
+
+@pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+def test_full_rank_refusal_decomposes_only_the_state(monkeypatch, p):
+    """A full-rank noise mixture is refused by RankMismatch from the state's one spectrum.
+
+    No mask is decomposed, whether its certificate refutes it or leaves it
+    undecided, since RankMismatch outranks every mask verdict.
+    """
+    for seed in range(4):
+        state = gen_npt_control(TripartiteDims(4, 4, 8), p=p, seed=seed)
+        counts = count_verdict_work(monkeypatch, state.side)
+        with pytest.raises(RankMismatch):
+            _admit(state)
+        assert counts["eigvalsh"] == 1
