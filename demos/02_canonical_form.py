@@ -66,6 +66,6 @@ print(f"\nworst commutator across the recovered family: {worst:.3e}")
 # before filtering; extract_canonical handles the rotated case internally)
 t = form.t_matrix()
 print("\nT has shape", t.shape, "- one N x N block per (u, v) pair")
-rho_f = filter_corner(state, form.f)
+rho_f, _ = filter_corner(state, form.f)
 print("| T^dagger T - filtered state | =",
       f"{np.linalg.norm(t.conj().T @ t - rho_f):.3e}")

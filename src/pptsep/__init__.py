@@ -23,7 +23,6 @@ from .errors import (
     PptSepError,
     PreconditionError,
     RankMismatch,
-    SingularError,
     StructureViolation,
 )
 from .linalg import (
@@ -41,7 +40,6 @@ from .linalg import (
     hermitize,
     numeric_rank,
     partial_transpose,
-    psd_inv_sqrt,
     psd_sqrt,
     sandwich_ab,
 )

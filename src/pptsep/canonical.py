@@ -30,11 +30,11 @@ from .linalg import (
     _family_scale,
     _rank_above_cutoff,
     _sandwiches,
+    as_complex_matrix,
     block,
     conjugate_local,
     dagger,
     hermitize,
-    psd_inv_sqrt,
     sandwich_ab,
 )
 from .ppt import _admit, _require_rank
@@ -225,16 +225,31 @@ def rotate_to_corner(
     return conjugate_local(state, u_a=u_a, u_b=u_b), u_a, u_b
 
 
-def filter_corner(state: TripartiteState, f: np.ndarray) -> np.ndarray:
+def filter_corner(state: TripartiteState, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Apply the corner filter: (I (x) I (x) F^{-1/2}) rho (I (x) I (x) F^{-1/2}).
 
-    The lift is block diagonal, so it is applied as s @ X @ s to each N x N
-    block X of the state, with s = F^{-1/2}: O(N d²) work for d = KMN, and the
-    KMN x KMN lift is never formed.
+    The one place that decides F.  One eigh of the Hermitian corner block F
+    gives its rank, by _rank_above_cutoff on the signed spectrum, so a
+    negative eigenvalue counts as missing rank: F must be positive definite
+    by the package's rank rule, or RankMismatch is raised.  The same
+    eigenpairs give s = F^{-1/2}.  The lift is block diagonal, so it is
+    applied as s @ X @ s to each N x N block X of the state: O(N d²) work for
+    d = KMN, and the KMN x KMN lift is never formed.
+
+    Returns (rho_f, w): the filtered state and the ascending eigenvalues of F.
     """
     k, m, n = state.dims.as_tuple()
-    s = psd_inv_sqrt(f)
-    return hermitize(_conjugate_blocks(state.rho, k * m, n, s, s))
+    f = as_complex_matrix(f, "corner block")
+    if f.shape != (n, n):
+        raise DimensionMismatch(f"corner block has shape {f.shape}, expected ({n}, {n})")
+    w, v = np.linalg.eigh(f)
+    rank = _rank_above_cutoff(w, n)
+    if rank != n:
+        raise RankMismatch(
+            f"corner block rank {rank} != N = {n}; rotate a full-rank witness first"
+        )
+    s = hermitize(v @ np.diag(1.0 / np.sqrt(w)) @ dagger(v))
+    return hermitize(_conjugate_blocks(state.rho, k * m, n, s, s)), w
 
 
 def _kernel_residual(rho_f: np.ndarray, form: CanonicalForm) -> float:
@@ -286,16 +301,8 @@ def _extract_admitted(
     k, m, n = state.dims.as_tuple()
     km = k * m
     f = block(state, km - 1, km - 1)  # a diagonal block of rho: exactly Hermitian
-    # One spectrum of F gives its rank, by the |lambda| rule of ppt._require_rank,
-    # and its condition number.
-    ev = np.linalg.eigvalsh(f)
-    corner_rank = _rank_above_cutoff(np.abs(ev), n)
-    if corner_rank != n:
-        raise RankMismatch(
-            f"corner block rank {corner_rank} != N = {n}; rotate a full-rank witness first"
-        )
-
-    rho_f = filter_corner(state, f)
+    # Called through the module attribute, which benchmarks/spans.py wraps.
+    rho_f, ev = filter_corner(state, f)
     # last[:, c] is block (KM-1, c) of rho_f.
     last = rho_f[(km - 1) * n :].reshape(n, km, n)
     a_list = tuple(last[:, (k - 1) * m + v].copy() for v in range(m - 1))
@@ -320,7 +327,7 @@ def _extract_admitted(
     kernel = _kernel_residual(rho_f, form)
     diagnostics = ExtractionDiagnostics(
         state_rank=n,
-        corner_rank=corner_rank,
+        corner_rank=n,
         reconstruction_residual=recon,
         commutator_max=comm,
         delta_norm=delta,
@@ -342,15 +349,16 @@ def extract_canonical(
 
     Checks, in order: global rank == N (RankMismatch), PPT across all masks
     (NotPptError), both from a Cholesky certificate per mask and one
-    Hermitian eigendecomposition of the state (see ppt._admit), then corner
-    rank == N (RankMismatch).  After filtering, the generators are read from
-    the last block row and the structural claim is validated globally: the
-    filtered state must match T†T within tol (relative), and the generator
-    family must be normal and pairwise commuting within tol scaled by the
-    squared generator norm; otherwise StructureViolation is raised.  The
-    reconstruction residual and the block-consistency gap delta_norm both
-    come from the one residual matrix rho_f - T†T.  Returns the form
-    together with diagnostics.
+    Hermitian eigendecomposition of the state (see ppt._admit), then a
+    corner block F of rank N on its signed spectrum, i.e. positive definite
+    (RankMismatch, from filter_corner).  After filtering, the generators are
+    read from the last block row and the structural claim is validated
+    globally: the filtered state must match T†T within tol (relative), and
+    the generator family must be normal and pairwise commuting within tol
+    scaled by the squared generator norm; otherwise StructureViolation is
+    raised.  The reconstruction residual and the block-consistency gap
+    delta_norm both come from the one residual matrix rho_f - T†T.  Returns
+    the form together with diagnostics.
     """
     if not _admit(state):
         _require_rank(state)

@@ -171,24 +171,20 @@ def simultaneous_diagonalize(
         parts.append((g - dagger(g)) / 2j)
 
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(11,)))
-    best_u = None
     best_off = np.inf
     for _ in range(JD_MAX_RETRIES):
         coeff = rng.standard_normal(len(parts))
         h = sum(c * p for c, p in zip(coeff, parts))
         _, u = np.linalg.eigh(h)
         off = _offdiag_max(u, gens)
-        if off < best_off:
-            best_off, best_u = off, u
         if off <= accept:
             break
-
-    if best_off > accept:
+        best_off = min(best_off, off)
+    else:
         raise DegeneracyUnresolved(
             f"no common eigenbasis reached residual {accept:.1e} in {JD_MAX_RETRIES} attempts "
             f"(best {best_off:.3e})"
         )
-    u = best_u
 
     if refine_by is not None:
         refine = hermitize(np.asarray(refine_by, dtype=complex))
@@ -275,8 +271,9 @@ def decompose(
        not apply);
     2. NotPptError: some partial transpose has a negative eigenvalue;
     3. NoWitness: no product pair with a full-rank sandwich block was found;
-    4. StructureViolation from the extraction on the rotated state (or, at
-       the rank cutoff's edge, RankMismatch for its corner block), then
+    4. StructureViolation from the extraction on the rotated state (or
+       RankMismatch when its corner block F is not positive definite by the
+       rank rule, at the cutoff's edge), then
        DegeneracyUnresolved from the joint diagonalization.  Its
        CommutatorViolation cannot arise here: the extraction has already
        tested the same _commutator_max of the same generators against the
@@ -321,8 +318,13 @@ def _certification_failures(
         raise DimensionMismatch(
             f"state dims {state.dims.as_tuple()} != ensemble dims {ensemble.dims.as_tuple()}"
         )
-    recon = ensemble.reconstruct()
-    residual = float(np.linalg.norm(state.rho - recon) / np.linalg.norm(state.rho))
+    # Finite values that overflow here give inf or NaN, which fail the bounds
+    # below (and which cmd_verify refuses as an input error).
+    with np.errstate(over="ignore", invalid="ignore"):
+        recon = ensemble.reconstruct()
+        residual = float(np.linalg.norm(state.rho - recon) / np.linalg.norm(state.rho))
+        vecs = [v for t in ensemble.terms for v in (t.vec_a, t.vec_b, t.vec_c)]
+        gaps = np.array([abs(np.linalg.norm(v) - 1.0) for v in vecs])
     failures = []
     if not residual <= tol:
         failures.append(f"reconstruction residual {residual:.3e} > tol {tol:.1e}")
@@ -332,9 +334,6 @@ def _certification_failures(
     weights = np.array([t.p for t in ensemble.terms])
     if not np.all(weights > 0):
         failures.append(f"min p {weights.min():.3e} <= 0")
-    gaps = np.array(
-        [abs(np.linalg.norm(v) - 1.0) for t in ensemble.terms for v in (t.vec_a, t.vec_b, t.vec_c)]
-    )
     if np.any(gaps > VEC_TOL):
         failures.append(f"vector-norm gap {gaps[gaps > VEC_TOL].max():.3e} > VEC_TOL {VEC_TOL:.1e}")
     return residual, failures

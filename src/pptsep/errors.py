@@ -22,10 +22,6 @@ class NotPsdError(PptSepError):
     """A matrix required to be positive semidefinite has a significant negative eigenvalue."""
 
 
-class SingularError(PptSepError):
-    """A matrix required to be invertible is numerically singular."""
-
-
 class NormalizationError(PptSepError):
     """A vector or state fails its required normalization."""
 

@@ -17,18 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NormalizationError,
-    NotHermitianError,
-    NotPsdError,
-    SingularError,
-)
+from .errors import DimensionMismatch, NormalizationError, NotHermitianError, NotPsdError
 
 # The tolerance policy.  Every threshold of the package is named here, once,
 # with the scale it is relative to; no other module writes a tolerance literal.
 # Rank decisions use no named bound: _rank_above_cutoff derives its cutoff,
-# order * eps * sigma_max, from the matrix itself.
+# order * eps * sigma_max, from the matrix itself.  The corner block F is held
+# to that rule on its signed spectrum, so the filter F^{-1/2} needs F positive
+# definite by the rank rule and clips nothing.
 #
 # Hermitian defect ||X - X†||_F of a state, relative to max(1, ||X||_F): a
 # few roundings per entry, far below any physical signal.
@@ -43,15 +39,16 @@ VEC_TOL = 1e-10
 # well above eigvalsh's backward error, well below any negativity that
 # certifies entanglement.
 PPT_TOL = 1e-9
-# Negative eigenvalues the PSD roots clip to zero, relative to
-# max(1, lambda_max); anything more negative is a NotPsdError.
+# Negative eigenvalues psd_sqrt clips to zero, relative to max(1, lambda_max);
+# anything more negative is a NotPsdError.
 PSD_CLIP = 1e-10
 # Default certification tolerance: the relative reconstruction residuals of
 # extraction and ensemble, and, scaled by the generator family
 # (_family_scale), the commutator and joint-diagonalization bounds.
 CERT_TOL = 1e-8
-# Smallest |trace| load_state will normalize away, absolute: below it the
-# division would amplify rounding into the whole matrix.
+# Smallest real part of a trace load_state will normalize away, absolute:
+# below it the division would amplify rounding into the whole matrix, or flip
+# the sign of a negated state.
 TRACE_FLOOR = 1e-12
 
 
@@ -170,7 +167,8 @@ class TripartiteState:
             raise DimensionMismatch(
                 f"rho has shape {arr.shape}, dims {self.dims.as_tuple()} need ({d}, {d})"
             )
-        scale = max(1.0, float(np.linalg.norm(arr)))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+            scale = max(1.0, float(np.linalg.norm(arr)))
         if scale == np.inf:  # the defect would overflow too, and pass against it
             raise ValueError("rho is too large: its Frobenius norm overflows")
         if np.linalg.norm(arr - dagger(arr)) > HERM_TOL * scale:
@@ -329,9 +327,9 @@ def _rank_above_cutoff(sv: np.ndarray, order: int) -> int | np.ndarray:
 
     The one rank rule of the package: numeric_rank applies it to an SVD, the
     witness search to a stack of sandwich spectra (one count per row), the
-    canonical form's rank tests of the state and of its corner block to
-    |eigenvalues| of a Hermitian matrix, which are its singular values, and
-    psd_inv_sqrt to the clipped spectrum it inverts.
+    rank test of the state to its |eigenvalues|, which are its singular
+    values, and canonical.filter_corner to the signed spectrum of the corner
+    block F, so that a negative eigenvalue counts as missing rank.
     """
     if sv.size == 0:
         return 0
@@ -353,8 +351,11 @@ def numeric_rank(x: np.ndarray) -> int:
     return _rank_above_cutoff(np.linalg.svd(x, compute_uv=False), max(x.shape))
 
 
-def _psd_eigh(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Shared eigendecomposition with negative-eigenvalue policy for the psd_* helpers."""
+def psd_sqrt(x: np.ndarray) -> np.ndarray:
+    """Hermitian square root of a PSD matrix; small negative eigenvalues are clipped to zero.
+
+    Eigenvalues below -PSD_CLIP * max(1, lambda_max) raise NotPsdError.
+    """
     x = as_complex_matrix(x, "psd input")
     if x.shape[0] != x.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got {x.shape}")
@@ -362,22 +363,4 @@ def _psd_eigh(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     tol = PSD_CLIP * max(1.0, float(w[-1]) if w.size else 0.0)
     if w.size and w[0] < -tol:
         raise NotPsdError(f"matrix has negative eigenvalue {w[0]:.3e} (tolerance {tol:.1e})")
-    return np.clip(w, 0.0, None), v
-
-
-def psd_sqrt(x: np.ndarray) -> np.ndarray:
-    """Hermitian square root of a PSD matrix; small negative eigenvalues are clipped to zero."""
-    w, v = _psd_eigh(x)
-    return hermitize(v @ np.diag(np.sqrt(w)) @ dagger(v))
-
-
-def psd_inv_sqrt(x: np.ndarray) -> np.ndarray:
-    """Hermitian inverse square root of a strictly positive matrix.
-
-    Raises SingularError if any clipped eigenvalue falls at or below the dense
-    rank cutoff, and NotPsdError for significant negative ones.
-    """
-    w, v = _psd_eigh(x)
-    if w.size == 0 or _rank_above_cutoff(w, w.size) < w.size:
-        raise SingularError("matrix is numerically singular; cannot form inverse square root")
-    return hermitize(v @ np.diag(1.0 / np.sqrt(w)) @ dagger(v))
+    return hermitize(v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ dagger(v))

@@ -179,7 +179,8 @@ def load_state(path, allow_unnormalized: bool = False) -> TripartiteState:
     """Read a StateFile.
 
     The matrix must be Hermitian with unit trace; with allow_unnormalized=True
-    a non-unit (but nonzero) trace is rescaled away instead of rejected.
+    a trace whose real part is at least TRACE_FLOOR is divided away instead of
+    rejected, and any other trace (negative, imaginary, zero) is refused.
     """
     doc, dims = _load_document(path, "state")
     mat = _complex_array(doc.get("matrix"), f"{path}: matrix", 2)
@@ -189,8 +190,11 @@ def load_state(path, allow_unnormalized: bool = False) -> TripartiteState:
         )
     if allow_unnormalized:
         tr = complex(mat.trace())
-        if abs(tr) < TRACE_FLOOR:
-            raise ValueError(f"{path}: trace {tr:.3g} too small to normalize away")
+        if not tr.real >= TRACE_FLOOR:
+            raise ValueError(
+                f"{path}: trace {tr:.3g} too small to normalize away "
+                f"(its real part must be at least {TRACE_FLOOR:.0e})"
+            )
         mat = mat / tr.real
     return TripartiteState(dims, mat)
 

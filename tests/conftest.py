@@ -22,3 +22,19 @@ def bell_mixture():
         + np.kron(np.outer(psi, psi), np.diag([0.0, 1.0]))
     ) / 2
     return TripartiteState(TripartiteDims(2, 2, 2), rho)
+
+
+@pytest.fixture
+def corner_only_state():
+    """Factory: the (2, 2, 2) state whose only nonzero block is the corner F = [[1/2, a], [a, 1/2]].
+
+    For a just above 1/2, F has the eigenvalue 1/2 - a < 0, inside the PPT
+    tolerance, so the state is admitted and the corner block alone decides.
+    """
+
+    def build(a):
+        rho = np.zeros((8, 8), dtype=complex)
+        rho[6:, 6:] = [[0.5, a], [a, 0.5]]
+        return TripartiteState(TripartiteDims(2, 2, 2), rho)
+
+    return build

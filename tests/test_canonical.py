@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import fractional_matrix_power
 
 import pptsep.canonical
 from pptsep import (
@@ -27,7 +28,6 @@ from pptsep import (
     haar_unitary,
     identity_corner_state,
     numeric_rank,
-    psd_inv_sqrt,
     psd_sqrt,
     qubit_corner_state,
     rotate_to_corner,
@@ -386,9 +386,27 @@ class TestExtractCanonical:
         """The blockwise filter equals kron(I_KM, F^{-1/2}) rho kron(I_KM, F^{-1/2})."""
         k, m, n = dims
         state, truth = gen_canonical_state(GenSpec(dims=TripartiteDims(*dims), seed=3))
-        lift = np.kron(np.eye(k * m), psd_inv_sqrt(truth.f))
+        lift = np.kron(np.eye(k * m), fractional_matrix_power(truth.f, -0.5))
         want = lift @ state.rho @ lift
-        np.testing.assert_allclose(filter_corner(state, truth.f), want, rtol=0, atol=1e-13)
+        rho_f, _ = filter_corner(state, truth.f)
+        np.testing.assert_allclose(rho_f, want, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize(
+        "spectrum",
+        [[0.0, 1.0], [-1e-12, 1.0], [-2e-12, -1e-12]],
+        ids=["singular", "negative within the clip", "all negative"],
+    )
+    def test_filter_refuses_a_corner_block_that_is_not_positive_definite(
+        self, corner_only_state, spectrum
+    ):
+        """The signed spectrum decides F: zero or negative eigenvalues are missing rank."""
+        with pytest.raises(RankMismatch, match="corner block rank"):
+            filter_corner(corner_only_state(0.3), np.diag(spectrum).astype(complex))
+
+    def test_filter_returns_the_spectrum_of_f(self):
+        state, truth = gen_canonical_state(GenSpec(dims=TripartiteDims(3, 3, 4), seed=3))
+        _, w = filter_corner(state, truth.f)
+        np.testing.assert_array_equal(w, np.linalg.eigh(truth.f)[0])
 
     def test_ppt_checked_before_corner_rank(self, bell_mixture):
         """Rank N, NPT and a singular corner: the PPT gate refuses before the corner check."""
@@ -400,7 +418,7 @@ class TestExtractCanonical:
         dims = TripartiteDims(3, 4, 3)
         state, _ = gen_canonical_state(GenSpec(dims=dims, seed=9))
         form, _ = extract_canonical(state)
-        rho_f = filter_corner(state, form.f)
+        rho_f, _ = filter_corner(state, form.f)
         lift = np.kron(np.eye(12), psd_sqrt(form.f))
         back = lift @ rho_f @ lift
         assert np.linalg.norm(back - state.rho) < 1e-10 * np.linalg.norm(state.rho)
@@ -417,11 +435,11 @@ class TestExtractionBounds:
         state, _ = gen_canonical_state(GenSpec(dims=dims, seed=1))
         n = dims.n
         f = block(state, 8, 8)
-        s = psd_inv_sqrt(f)
+        s = fractional_matrix_power(f, -0.5)
         rng = np.random.default_rng(0)
         z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         e = (z + z.conj().T) / 2 - np.eye(n) * np.trace(z).real / n
-        e *= factor * CERT_TOL * np.linalg.norm(filter_corner(state, f)) / np.linalg.norm(s @ e @ s)
+        e *= factor * CERT_TOL * np.linalg.norm(filter_corner(state, f)[0]) / np.linalg.norm(s @ e @ s)
         rho = state.rho.copy()
         rho[:n, :n] += e
         perturbed = TripartiteState(dims, rho)
@@ -467,7 +485,7 @@ class TestTMatrixLayout:
         b_list = [diag(-0.5, 0.9), diag(0.2 + 0.2j, -1.0j)]
         f = np.eye(2) * 0.8 + np.outer([0.1, 0.2], [0.1, 0.2])
         state, truth = assemble_canonical_state(dims, a_list, b_list, f)
-        rho_f = filter_corner(state, truth.f)
+        rho_f, _ = filter_corner(state, truth.f)
         n = 2
         for u in range(3):
             for v in range(3):
@@ -490,7 +508,7 @@ class TestKernelVectors:
 
     @staticmethod
     def residual(state, form):
-        return _kernel_residual(filter_corner(state, form.f), form)
+        return _kernel_residual(filter_corner(state, form.f)[0], form)
 
     def test_zero_for_identity_corner(self):
         dims = TripartiteDims(3, 3, 2)
@@ -533,8 +551,16 @@ def _qubit_form(a_count):
         (lambda: _qubit_form(0), DimensionMismatch),
         (lambda: find_witness(qubit_corner_state(0.3), "explicit", e_a=unit(2, 0)), ValueError),
         (lambda: _completion_unitary(np.ones(3), 2), DimensionMismatch),
+        (lambda: filter_corner(qubit_corner_state(0.3), np.eye(3)), DimensionMismatch),
+        (lambda: filter_corner(qubit_corner_state(0.3), np.full((2, 2), np.nan)), ValueError),
     ],
-    ids=["generator count", "explicit witness without f_b", "witness shape"],
+    ids=[
+        "generator count",
+        "explicit witness without f_b",
+        "witness shape",
+        "corner block shape",
+        "non-finite corner block",
+    ],
 )
 def test_malformed_input_rejected(call, error):
     with pytest.raises(error):

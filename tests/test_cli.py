@@ -71,6 +71,22 @@ class TestCheckPpt:
         assert code == 2
         assert doc is None
 
+    @pytest.mark.filterwarnings("error")  # no division by a zero real part
+    @pytest.mark.parametrize("factor", [-1, 1j], ids=["negated", "imaginary"])
+    @pytest.mark.parametrize("command", ["check-ppt", "decompose"])
+    def test_trace_that_cannot_be_normalized_exits_two(self, capsys, tmp_path, factor, command):
+        """--allow-unnormalized refuses a trace whose real part is below TRACE_FLOOR."""
+        p = tmp_path / "scaled.json"
+        save_state(qubit_corner_state(0.3), p)
+        doc = json.loads(p.read_text())
+        scaled = [[factor * complex(*z) for z in row] for row in doc["matrix"]]
+        doc["matrix"] = [[[z.real, z.imag] for z in row] for row in scaled]
+        p.write_text(json.dumps(doc))
+        assert main([command, str(p), "--allow-unnormalized"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "too small to normalize away" in captured.err
+
 
 class TestDecompose:
     def test_identity_corner_full_run(self, capsys, tmp_path):
@@ -110,6 +126,16 @@ class TestDecompose:
         code, doc = run(capsys, "decompose", str(p), "--witness", "corner")
         assert code == 3
         assert doc["error"] == "NotPptError"
+
+    @pytest.mark.parametrize("excess", [1e-12, 2e-10])
+    def test_corner_block_with_a_negative_eigenvalue_exits_three(
+        self, capsys, tmp_path, corner_only_state, excess
+    ):
+        p = tmp_path / "corner.json"
+        save_state(corner_only_state(0.5 + excess), p)
+        code, doc = run(capsys, "decompose", str(p))
+        assert code == 3
+        assert doc["error"] == "RankMismatch"
 
     def test_explicit_witness_requires_both_vectors(self, capsys, ppt_state_file):
         code, doc = run(

@@ -254,15 +254,25 @@ class TestDecomposeExamples:
         assert counts == {}
 
     def test_corner_block_is_decomposed_without_an_svd(self, monkeypatch):
-        """One eigvalsh of F gives its rank and condition number; no SVD of F runs.
+        """F is decomposed twice: once by the filter and once for the ensemble's F^{1/2}.
 
-        The two eigh of F are the filter's F^{-1/2} and the ensemble's F^{1/2}.
+        The filter's one eigh gives F's rank, its condition number and
+        F^{-1/2}; no SVD or eigvalsh of F runs.
         """
         state, _ = gen_canonical_state(GenSpec(dims=TripartiteDims(3, 3, 4), seed=2))
         f = block(state, 8, 8)  # the corner witness (|2>, |2>) needs no rotation
         counts = count_linalg_calls(monkeypatch, lambda a: np.array_equal(a, f))
         decompose(state, witness="explicit", e_a=[0, 0, 1], f_b=[0, 0, 1])
-        assert counts == {"eigvalsh": 1, "eigh": 2}
+        assert counts == {"eigh": 2}
+
+    @pytest.mark.parametrize("excess", [1e-12, 2e-10])
+    @pytest.mark.parametrize("mode", ["search", "corner"])
+    def test_corner_block_with_a_negative_eigenvalue_is_a_rank_refusal(
+        self, corner_only_state, excess, mode
+    ):
+        """F's eigenvalue -excess counts as missing rank, on either side of PSD_CLIP."""
+        with pytest.raises(RankMismatch, match=r"^corner block rank 1 != N = 2; rotate"):
+            decompose(corner_only_state(0.5 + excess), witness=mode)
 
     def test_nan_explicit_witness_is_a_typed_refusal(self):
         """A NaN witness vector gives NormalizationError, not numpy's LinAlgError."""

@@ -73,6 +73,9 @@ def envelope_state(dims, seed, scale, cap, repeated, scrambled):
 # Refused on the weight bound |sum p - 1| alone before the weights were
 # normalized, although its reconstruction residual was within tol.
 @example(dims=(3, 3, 4), seed=2, log_scale=0.0, log_cap=8.0, repeated=False, scrambled=False)
+# Certified with residual 7.56e-9 against tol 1e-8: the thinnest known point
+# on the filter path.
+@example(dims=(4, 4, 6), seed=17, log_scale=0.0, log_cap=8.0, repeated=False, scrambled=False)
 def test_every_state_inside_the_envelope_is_certified(
     dims, seed, log_scale, log_cap, repeated, scrambled
 ):

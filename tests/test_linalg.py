@@ -14,18 +14,17 @@ from pptsep import (
     NormalizationError,
     NotHermitianError,
     NotPsdError,
-    SingularError,
     SubsystemMask,
     TripartiteDims,
     TripartiteState,
     block,
     conjugate_local,
     dagger,
+    filter_corner,
     hermitize,
     identity_corner_state,
     numeric_rank,
     partial_transpose,
-    psd_inv_sqrt,
     psd_sqrt,
     qubit_corner_state,
     sandwich_ab,
@@ -236,11 +235,15 @@ class TestPsdRoots:
         np.testing.assert_allclose(s @ s, x, atol=1e-12 * np.linalg.norm(x))
 
     def test_inv_sqrt_whitens(self):
+        """filter_corner's F^{-1/2} takes the corner block F to the identity."""
         rng = np.random.default_rng(10)
         z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         x = z @ z.conj().T + np.eye(4)
-        w = psd_inv_sqrt(x)
-        np.testing.assert_allclose(w @ x @ w, np.eye(4), atol=1e-12)
+        rho = np.zeros((16, 16), dtype=complex)
+        rho[12:, 12:] = x / np.trace(x).real
+        state = TripartiteState(TripartiteDims(2, 2, 4), rho)
+        rho_f, _ = filter_corner(state, state.rho[12:, 12:])
+        np.testing.assert_allclose(rho_f[12:, 12:], np.eye(4), atol=1e-12)
 
     def test_small_negative_eigenvalues_clipped(self):
         x = np.diag([1.0, -1e-14])
@@ -250,15 +253,6 @@ class TestPsdRoots:
     def test_indefinite_rejected(self):
         with pytest.raises(NotPsdError):
             psd_sqrt(np.diag([1.0, -0.5]))
-
-    def test_singular_rejected_for_inverse(self):
-        with pytest.raises(SingularError):
-            psd_inv_sqrt(np.diag([1.0, 0.0]))
-
-    def test_all_negative_within_the_clip_is_singular_for_inverse(self):
-        """Clipped to zero, so no inverse: SingularError, not infinite entries."""
-        with pytest.raises(SingularError):
-            psd_inv_sqrt(np.diag([-1e-12, -2e-12]))
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Tests for the JSON file formats: exact round trips and structural validation."""
 
 import json
+import re
 import runpy
 import tracemalloc
 from functools import partial
@@ -82,6 +83,18 @@ class TestStateRoundTrip:
             load_state(p)
         rescued = load_state(p, allow_unnormalized=True)
         np.testing.assert_array_equal(rescued.rho, state.rho)
+
+    @pytest.mark.filterwarnings("error")  # no division by a zero real part
+    @pytest.mark.parametrize(
+        "entry, shown", [([-0.25, 0.0], "-1+0j"), ([0.0, 0.25], "0+1j")], ids=["negated", "imaginary"]
+    )
+    def test_trace_without_a_positive_real_part_is_refused(self, tmp_path, entry, shown):
+        """-rho does not load as rho, and a trace of 1j is refused, not divided by zero."""
+        matrix = [[entry if i == j else [0.0, 0.0] for j in range(4)] for i in range(4)]
+        p = tmp_path / "state.json"
+        p.write_text(json.dumps(state_doc(matrix=matrix)))
+        with pytest.raises(ValueError, match=rf"trace {re.escape(shown)} too small to normalize"):
+            load_state(p, allow_unnormalized=True)
 
 
 class TestEnsembleRoundTrip:
