@@ -32,14 +32,15 @@ print(f"\nwitness sandwich rank: {witness.sandwich_rank} (needs {dims.n})")
 
 # --- step 2: rotate that witness into the corner and extract ---------------
 form, diag = extract_canonical(state, tol=1e-8)
+# (the residual lines are upper bounds, read off the state's N-column factor)
 print("\nextraction diagnostics:")
-print(f"  state rank              {diag.state_rank}")
-print(f"  corner block rank       {diag.corner_rank}")
-print(f"  reconstruction residual {diag.reconstruction_residual:.3e}")
-print(f"  commutator max          {diag.commutator_max:.3e}")
-print(f"  block-consistency gap   {diag.delta_norm:.3e}")
-print(f"  kernel residual max     {diag.kernel_residual_max:.3e}")
-print(f"  filter condition number {diag.f_condition:.2f}")
+print(f"  state rank                {diag.state_rank}")
+print(f"  corner block rank         {diag.corner_rank}")
+print(f"  reconstruction residual <= {diag.reconstruction_residual:.3e}")
+print(f"  commutator max            {diag.commutator_max:.3e}")
+print(f"  block-consistency gap   <= {diag.delta_norm:.3e}")
+print(f"  kernel residual max     <= {diag.kernel_residual_max:.3e}")
+print(f"  filter condition number   {diag.f_condition:.2f}")
 
 # --- the recovered generators match the ones the state was built from ------
 # (both families have the identity pinned at the last slot, so they can be

@@ -8,16 +8,20 @@ rho_f into the Gram form
     block(rho_f, r, c) = T_r† T_c,      T_{(u, v)} = GB_u · GA_v,
 
 where GA_{M-1} = GB_{K-1} = I and the remaining GA_v, GB_u are N x N matrices
-that are normal and commute pairwise (and with each other's adjoints).  The
-generators are read directly from the last block row of rho_f, and the claim
-is then validated globally by reconstructing rho_f from them.  Everything that
+that are normal and commute pairwise (and with each other's adjoints).
+
+The claim is about rho's N-dimensional range, so the extraction reads it off
+the d x N factor L with rho ~ LL† that the admission builds (ppt._admit),
+never off the KMN x KMN matrix.  With L's N x N blocks L_r and the corner
+c = KM-1, F = L_c L_c†, and T_r = (L_c^{-1} L_r)† is the block above in the
+frame of the unitary W = F^{-1/2} L_c: exactly W† T_r W.  Everything that
 certifies separability downstream (common eigenvectors, product ensembles)
 only ever touches this canonical data.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,18 +34,17 @@ from .linalg import (
     _family_scale,
     _rank_above_cutoff,
     _sandwiches,
+    _unit_pair,
     as_complex_matrix,
-    block,
     conjugate_local,
     dagger,
     hermitize,
-    sandwich_ab,
 )
 from .ppt import _admit, _require_rank
 
 # Not called here; benchmarks/spans.py wraps these module attributes, so they
 # stay importable from here.
-from .linalg import numeric_rank  # noqa: F401
+from .linalg import numeric_rank, sandwich_ab  # noqa: F401
 from .ppt import ppt_report  # noqa: F401
 
 
@@ -98,7 +101,18 @@ class CanonicalForm:
 
 @dataclass(frozen=True)
 class ExtractionDiagnostics:
-    """Residuals and ranks recorded while extracting a canonical form."""
+    """Ranks, bounds and a defect recorded while extracting a canonical form.
+
+    The residual fields are upper bounds, exact in exact arithmetic, on the
+    residuals of the filtered state rho_f = filter_corner(state, form.f)
+    against the returned form (see _extract): reconstruction_residual on
+    ||rho_f - T†T||_F / ||rho_f||_F, delta_norm on the Frobenius norm of that
+    residual's diagonal block at grid position (K-2, M-2), and
+    kernel_residual_max on |rho_f psi| / |psi| over the kernel vectors
+    psi = |slot>|e> - |K-1, M-1> G|e> of the generators.  commutator_max is
+    computed: the largest normality or commutation defect of the family.
+    f_condition is F's condition number, (sigma_max / sigma_min)² of L_c.
+    """
 
     state_rank: int
     corner_rank: int
@@ -128,24 +142,31 @@ def find_witness(
     seed: int = 0,
     e_a: np.ndarray | None = None,
     f_b: np.ndarray | None = None,
+    factor: np.ndarray | None = None,
 ) -> ProductWitness | None:
     """Search for a product pair whose sandwich block on C has full rank N.
 
     mode "corner" scans the K*M computational-basis pairs; "search" adds
     `samples` Haar-like random product pairs on top of those; "explicit" tests
-    exactly the supplied (e_a, f_b).  A candidate has rank N when every
-    singular value of its Hermitized sandwich exceeds n * eps * sigma_max, the
-    rank rule of numeric_rank.  Among the full-rank candidates the one with the
-    largest smallest singular value wins (ties broken by scan order), which
-    keeps the downstream filter as well-conditioned as the state allows.
-    Returns None when no candidate reaches rank N.
+    exactly the supplied (e_a, f_b), which must be unit vectors.  A candidate
+    has rank N when every singular value of its Hermitized sandwich exceeds
+    n * eps * sigma_max, the rank rule of numeric_rank.  Among the full-rank
+    candidates the one with the largest smallest singular value wins (ties
+    broken by scan order), which keeps the downstream filter as
+    well-conditioned as the state allows.  Returns None when no candidate
+    reaches rank N.
 
     One chunked contraction (linalg._sandwiches) computes the sandwiches of
-    all corner and search candidates, and one batched SVD their singular
-    values; only an explicit pair goes through sandwich_ab, which validates
-    it.  The random pairs come from one block of draws laid out so that
-    candidates and choice are bit-identical to drawing and testing them one
-    at a time.
+    all candidates, and one batched SVD their singular values.  The random
+    pairs come from one block of draws laid out so that candidates and choice
+    are bit-identical to drawing and testing them one at a time.
+
+    Given the d x N factor L of a PSD state, rho ~ LL† (ppt._admit builds
+    it), each sandwich is B B† for the N x N B = sum_r conj(w_r) L_r over
+    L's blocks and the product vector w = e_a (x) f_b: one (P, KM) @
+    (KM, N²) product gives every B, and the squares of their singular values
+    are ranked by the same rules, with no KMN x KMN work.  An indefinite state
+    has no such factor, so it is scored on its dense sandwiches.
     """
     k, m, n = state.dims.as_tuple()
     if mode in ("corner", "search"):
@@ -162,18 +183,21 @@ def find_witness(
             fbs = np.concatenate(
                 [fbs, _unit_rows(draws[:, 2 * k : 2 * k + m] + 1j * draws[:, 2 * k + m :])]
             )
-        sandwiches = _sandwiches(state, eas, fbs)
     elif mode == "explicit":
         if e_a is None or f_b is None:
             raise ValueError("explicit mode needs both e_a and f_b")
-        eas, fbs = [np.asarray(e_a, dtype=complex)], [np.asarray(f_b, dtype=complex)]
-        sandwiches = sandwich_ab(state, eas[0], fbs[0])[None]
+        eas, fbs = (v[None] for v in _unit_pair(state.dims, e_a, f_b))
     else:
         raise ValueError(f"unknown witness mode {mode!r}")
 
-    # Singular values, not eigenvalues: an indefinite input state can give an
-    # indefinite sandwich, whose rank and conditioning are set by |lambda|.
-    sv = np.linalg.svd(hermitize(sandwiches), compute_uv=False)
+    if factor is None:
+        # Singular values, not eigenvalues: an indefinite input state can give an
+        # indefinite sandwich, whose rank and conditioning are set by |lambda|.
+        sv = np.linalg.svd(hermitize(_sandwiches(state, eas, fbs)), compute_uv=False)
+    else:
+        w = (eas[:, :, None] * fbs[:, None, :]).reshape(-1, k * m)
+        b = (w.conj() @ factor.reshape(k * m, n * n)).reshape(-1, n, n)
+        sv = np.linalg.svd(b, compute_uv=False) ** 2
     full_rank = _rank_above_cutoff(sv, n) == n
     if not full_rank.any():
         return None
@@ -252,28 +276,6 @@ def filter_corner(state: TripartiteState, f: np.ndarray) -> tuple[np.ndarray, np
     return hermitize(_conjugate_blocks(state.rho, k * m, n, s, s)), w
 
 
-def _kernel_residual(rho_f: np.ndarray, form: CanonicalForm) -> float:
-    """Worst normalized |rho_f psi| over the designated kernel vectors.
-
-    For each generator G sitting at block slot s (GA_v at (K-1, v), GB_u at
-    (u, M-1)) and each basis vector |e> of C^N, the vector
-    psi = |s>|e> - |K-1, M-1> G|e> must be annihilated by rho_f.  rho_f psi is
-    the slot's column block of rho_f minus the corner's column block times G,
-    and |psi|² = 1 + |G e|², so no psi is formed.
-    """
-    k, m, n = form.dims.as_tuple()
-    corner = (k * m - 1) * n
-    slots = [((k - 1) * m + v) * n for v in range(m - 1)] + [
-        (u * m + (m - 1)) * n for u in range(k - 1)
-    ]
-    worst = 0.0
-    for slot, g in zip(slots, form.generators()):
-        img = rho_f[:, slot : slot + n] - rho_f[:, corner : corner + n] @ g
-        norms = np.linalg.norm(img, axis=0) / np.sqrt(1.0 + np.linalg.norm(g, axis=0) ** 2)
-        worst = max(worst, float(norms.max()))
-    return worst
-
-
 def _commutator_max(gens: list[np.ndarray]) -> float:
     """Largest normality or (cross-)commutation defect over the family.
 
@@ -294,52 +296,97 @@ def _commutator_max(gens: list[np.ndarray]) -> float:
     return float(np.linalg.norm(defects, axis=(-2, -1)).max(initial=0.0))
 
 
-def _extract_admitted(
-    state: TripartiteState, tol: float
-) -> tuple[CanonicalForm, ExtractionDiagnostics]:
-    """extract_canonical for a state that has already passed ppt._admit."""
-    k, m, n = state.dims.as_tuple()
+def _gram_gap(l: np.ndarray, delta: np.ndarray) -> float:
+    """||LL† - (L - Δ)(L - Δ)†||_F for two stacks of N x N row blocks, with no d x d product.
+
+    The difference is AB† for A = [L, Δ] and B = [Δ, L - Δ], and
+    ||AB†||_F² = tr(A†A B†B), a trace of two 2N x 2N Gram matrices.  Each of
+    its four block products pairs two Gram blocks that hold Δ once each, so
+    a small Δ is not lost in the rounding of L†L.
+    """
+    n = l.shape[-1]
+    a = np.concatenate([l, delta], axis=-1).reshape(-1, 2 * n)
+    b = np.concatenate([delta, l - delta], axis=-1).reshape(-1, 2 * n)
+    return float(np.sqrt(max(0.0, np.vdot(dagger(b) @ b, dagger(a) @ a).real)))
+
+
+def _extract(
+    factor: np.ndarray, dims: TripartiteDims, residual: float, norm: float, tol: float
+) -> tuple[CanonicalForm, np.ndarray, ExtractionDiagnostics]:
+    """The canonical form read off a d x N factor L of rho, in the frame of W.
+
+    residual bounds ||rho - LL†||_F and norm is ||rho||_F, both from the
+    admission.  Returns the form in the frame of W = F^{-1/2} L_c (see the
+    module docstring), that is of (I (x) I (x) W†) rho (I (x) I (x) W), whose
+    corner block is W† F W = L_c† L_c; the corner block L_c of L, which maps
+    that frame's sqrt(L_c† L_c) |f> to the state's F^{1/2} W |f>; and the
+    diagnostics.  O(KM N³): nothing of size d x d.
+
+    The singular values of L_c decide F = L_c L_c†: its eigenvalues are
+    their squares, and F needs rank N by _rank_above_cutoff, or RankMismatch
+    is raised.  One solve gives every T_r = (L_c^{-1} L_r)†, so that
+    L_r = L_c T_r†.  The generators are T at their slots, and the monomial
+    row T_m holds GB_u GA_v at every slot (u, v), with GA_{M-1} = GB_{K-1} = I.
+    The ensemble the generators give rebuilds R = L_m L_m† for the blocks
+    L_m,r = L_c T_m,r†, so with the monomial defect Δ = L - L_m,
+
+        ||rho - R||_F <= residual + ||LL† - L_m L_m†||_F,
+
+    the last term computed exactly by _gram_gap.  StructureViolation is
+    raised when that bound exceeds tol * norm, or when the family's
+    normality and commutation defect exceeds tol * s², as
+    simultaneous_diagonalize requires.
+
+    The diagnostics bound the dense filtered frame of the returned form.
+    There rho - LL† costs at most e = residual / sigma_min(L_c)², and LL†
+    is T†T up to the unitary W, so ||rho_f - T_m†T_m||_F <= e +
+    ||T†T - T_m†T_m||_F, by _gram_gap on the T-space defect D = T - T_m;
+    ||rho_f||_F >= ||T T†||_F - e.  A single block of the residual is
+    bounded by (2 ||T_r||_F + ||D_r||_F) ||D_r||_F + e, and, as T_c - I is
+    all that is left of the kernel vectors' images, their residual by
+    e + ||T||_F ||D_c||_F.
+    """
+    k, m, n = dims.as_tuple()
     km = k * m
-    f = block(state, km - 1, km - 1)  # a diagonal block of rho: exactly Hermitian
-    # Called through the module attribute, which benchmarks/spans.py wraps.
-    rho_f, ev = filter_corner(state, f)
-    # last[:, c] is block (KM-1, c) of rho_f.
-    last = rho_f[(km - 1) * n :].reshape(n, km, n)
-    a_list = tuple(last[:, (k - 1) * m + v].copy() for v in range(m - 1))
-    b_list = tuple(last[:, u * m + (m - 1)].copy() for u in range(k - 1))
-    form = CanonicalForm(
-        dims=state.dims,
-        a_list=a_list,
-        b_list=b_list,
-        f=f,
-        local_u_a=np.eye(k, dtype=complex),
-        local_u_b=np.eye(m, dtype=complex),
-    )
-
-    t = form.t_matrix()
-    residual = rho_f - dagger(t) @ t
-    recon = float(np.linalg.norm(residual) / np.linalg.norm(rho_f))
-    gens = form.generators()
-    comm = _commutator_max(gens)
-    d = slice(((k - 2) * m + (m - 2)) * n, ((k - 2) * m + (m - 1)) * n)
-    delta = float(np.linalg.norm(residual[d, d]))
-
-    kernel = _kernel_residual(rho_f, form)
-    diagnostics = ExtractionDiagnostics(
-        state_rank=n,
-        corner_rank=n,
-        reconstruction_residual=recon,
-        commutator_max=comm,
-        delta_norm=delta,
-        kernel_residual_max=kernel,
-        f_condition=float(ev[-1] / ev[0]),
-    )
-    if recon > tol or comm > tol * _family_scale(gens) ** 2:
-        raise StructureViolation(
-            f"filtered state is not in product-monomial form at tol {tol:.1e} "
-            f"(reconstruction residual {recon:.3e}, commutator max {comm:.3e})"
+    blocks = factor.reshape(km, n, n)
+    corner = blocks[-1]
+    ev = np.linalg.svd(corner, compute_uv=False) ** 2  # F's eigenvalues, descending
+    rank = _rank_above_cutoff(ev, n)
+    if rank != n:
+        raise RankMismatch(
+            f"corner block rank {rank} != N = {n}; rotate a full-rank witness first"
         )
-    return form, diagnostics
+    # The blocks side by side, [L_0 .. L_{KM-1}], are solved against L_c at once.
+    y = np.linalg.solve(corner, blocks.transpose(1, 0, 2).reshape(n, km * n))
+    t = dagger(y.reshape(n, km, n).transpose(1, 0, 2))
+    grid = t.reshape(k, m, n, n)
+    eye = np.eye(n)[None]
+    ga = np.concatenate([grid[-1, :-1], eye])
+    gb = np.concatenate([grid[:-1, -1], eye])
+    t_m = (gb[:, None] @ ga[None]).reshape(km, n, n)
+    local = (np.eye(k, dtype=complex), np.eye(m, dtype=complex))
+    form = CanonicalForm(dims, tuple(ga[:-1]), tuple(gb[:-1]), dagger(corner) @ corner, *local)
+    gens = form.generators()
+    bound = (residual + _gram_gap(blocks, blocks - corner @ dagger(t_m))) / norm
+    comm = _commutator_max(gens)
+
+    defect = t - t_m  # zero at the generator slots
+    d_norms = np.linalg.norm(defect, axis=(1, 2))
+    e = residual / ev[-1]
+    gram = float(np.linalg.norm((t @ dagger(t)).sum(axis=0)))  # ||T T†||_F = ||T†T||_F
+    r = km - m - 2  # the slot (K-2, M-2)
+    recon = (_gram_gap(dagger(t), dagger(defect)) + e) / (gram - e) if gram > e else np.inf
+    delta = (2 * np.linalg.norm(t[r]) + d_norms[r]) * d_norms[r] + e
+    kernel = e + np.linalg.norm(t) * d_norms[-1]
+    diagnostics = ExtractionDiagnostics(
+        n, n, float(recon), comm, float(delta), float(kernel), float(ev[0] / ev[-1])
+    )
+    if bound > tol or comm > tol * _family_scale(gens) ** 2:
+        raise StructureViolation(
+            f"factor is not in product-monomial form at tol {tol:.1e} "
+            f"(reconstruction bound {bound:.3e}, commutator max {comm:.3e})"
+        )
+    return form, corner, diagnostics
 
 
 def extract_canonical(
@@ -349,18 +396,23 @@ def extract_canonical(
 
     Checks, in order: global rank == N (RankMismatch), PPT across all masks
     (NotPptError), both from a Cholesky certificate per mask and one
-    Hermitian eigendecomposition of the state (see ppt._admit), then a
-    corner block F of rank N on its signed spectrum, i.e. positive definite
-    (RankMismatch, from filter_corner).  After filtering, the generators are
-    read from the last block row and the structural claim is validated
-    globally: the filtered state must match T†T within tol (relative), and
-    the generator family must be normal and pairwise commuting within tol
-    scaled by the squared generator norm; otherwise StructureViolation is
-    raised.  The reconstruction residual and the block-consistency gap
-    delta_norm both come from the one residual matrix rho_f - T†T.  Returns
-    the form together with diagnostics.
+    Hermitian eigendecomposition of the state (see ppt._admit), then, on the
+    admission's factor L, a corner block F = L_c L_c† of rank N
+    (RankMismatch) and the product-monomial structure (StructureViolation),
+    both as _extract decides them.  The form is returned in the frame of the
+    state: F = L_c L_c†, and each generator G = W G' W† for the extraction's
+    G' and the unitary W = F^{-1/2} L_c, the polar factor U V† of
+    L_c = U S V†.  Returns the form together with diagnostics.
     """
-    if not _admit(state):
+    admission = _admit(state)
+    if not admission.rank_tested:
         _require_rank(state)
-    return _extract_admitted(state, tol)
-
+    form, corner, diagnostics = _extract(
+        admission.factor, state.dims, admission.residual, admission.norm, tol
+    )
+    u, _, vh = np.linalg.svd(corner)
+    w = u @ vh
+    back = [w @ g @ dagger(w) for g in form.generators()]
+    a = len(form.a_list)
+    f = hermitize(corner @ dagger(corner))
+    return replace(form, a_list=tuple(back[:a]), b_list=tuple(back[a:]), f=f), diagnostics

@@ -8,7 +8,9 @@ GB_u |f_n> = b_{u,n} |f_n>, the (unnormalized) product vectors
     vecB_n[v] = conj(a_{v,n})   (1 at v = M-1),
     vecC_n    = sqrt(F) |f_n>,
 
-reconstruct the state as sum_n p_n |vecA_n vecB_n vecC_n><...| exactly.  The
+reconstruct the state as sum_n p_n |vecA_n vecB_n vecC_n><...| exactly.  In
+the frame of the extraction's factor (see canonical), sqrt(F) |f_n> is
+L_c |f'_n> for the common eigenvectors f'_n of its generators.  The
 ensemble is certified by direct reconstruction before it is returned; nothing
 downstream ever needs to trust the algebra.
 """
@@ -30,9 +32,9 @@ from .errors import (
 from .canonical import (
     CanonicalForm,
     _commutator_max,
-    _extract_admitted,
+    _completion_unitary,
+    _extract,
     find_witness,
-    rotate_to_corner,
 )
 from .linalg import (
     CERT_TOL,
@@ -47,9 +49,9 @@ from .linalg import (
 )
 from .ppt import _admit, _require_rank
 
-# decompose no longer calls these two, but benchmarks/spans.py traces calls
-# through both module attributes, so they stay importable from here.
-from .canonical import extract_canonical  # noqa: F401
+# decompose no longer calls these, but benchmarks/spans.py traces calls
+# through the module attributes, so they stay importable from here.
+from .canonical import extract_canonical, rotate_to_corner  # noqa: F401
 from .linalg import numeric_rank  # noqa: F401
 
 # Attempts of simultaneous_diagonalize at a separating random combination.
@@ -103,11 +105,8 @@ class SeparableEnsemble:
 
 
 def _offdiag_max(u: np.ndarray, gens: list[np.ndarray]) -> float:
-    worst = 0.0
-    for g in gens:
-        d = dagger(u) @ g @ u
-        worst = max(worst, float(np.linalg.norm(d - np.diag(np.diag(d)))))
-    return worst
+    rotated = (dagger(u) @ g @ u for g in gens)
+    return max(float(np.linalg.norm(d - np.diag(np.diag(d)))) for d in rotated)
 
 
 def _phase_fix(u: np.ndarray) -> np.ndarray:
@@ -115,11 +114,8 @@ def _phase_fix(u: np.ndarray) -> np.ndarray:
 
     u is unitary, so that entry of each column has magnitude at least 1/sqrt(N).
     """
-    u = u.copy()
-    for c in range(u.shape[1]):
-        piv = u[int(np.argmax(np.abs(u[:, c]))), c]
-        u[:, c] *= np.conj(piv) / abs(piv)
-    return u
+    piv = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+    return u * (np.conj(piv) / np.abs(piv))
 
 
 def simultaneous_diagonalize(
@@ -165,10 +161,7 @@ def simultaneous_diagonalize(
         )
     accept = tol * scale
 
-    parts: list[np.ndarray] = []
-    for g in gens:
-        parts.append(hermitize(g))
-        parts.append((g - dagger(g)) / 2j)
+    parts = [part for g in gens for part in (hermitize(g), (g - dagger(g)) / 2j)]
 
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(11,)))
     best_off = np.inf
@@ -223,18 +216,25 @@ def ensemble_from_form(form: CanonicalForm, tol: float = CERT_TOL, seed: int = 0
     it is, and the certification that follows checks the result at the same
     tol, with every bound unchanged.
     """
+    return _ensemble(form, psd_sqrt(form.f), tol, seed)
+
+
+def _ensemble(form: CanonicalForm, corner: np.ndarray, tol: float, seed: int) -> SeparableEnsemble:
+    """ensemble_from_form with vecC_n = corner @ f_n, the form's filter refining.
+
+    corner is F^{1/2} for a form in the state's frame.  For the extraction's
+    form in the frame of W it is L_c = F^{1/2} W, which also carries the C
+    vectors back to the state's frame.
+    """
     k, m, n = form.dims.as_tuple()
     table = simultaneous_diagonalize(form.generators(), tol=tol, seed=seed, refine_by=form.f)
-    a_vals = table.values[: m - 1]
-    b_vals = table.values[m - 1 :]
-    sqrt_f = psd_sqrt(form.f)
-    ua_back = dagger(form.local_u_a)
-    ub_back = dagger(form.local_u_b)
+    a_vals, b_vals = table.values[: m - 1], table.values[m - 1 :]
+    ua_back, ub_back = dagger(form.local_u_a), dagger(form.local_u_b)
     raw = []
     for i in range(n):
         vec_a = np.append(np.conj([bv[i] for bv in b_vals]), 1.0).astype(complex)
         vec_b = np.append(np.conj([av[i] for av in a_vals]), 1.0).astype(complex)
-        vec_c = sqrt_f @ table.u[:, i]
+        vec_c = corner @ table.u[:, i]
         na, nb, nc = (np.linalg.norm(v) for v in (vec_a, vec_b, vec_c))
         p = float((na * nb * nc) ** 2)
         raw.append((p, ua_back @ (vec_a / na), ub_back @ (vec_b / nb), vec_c / nc))
@@ -255,25 +255,35 @@ def decompose(
 ) -> SeparableEnsemble:
     """Full pipeline: witness, rotation, canonical form, certified product ensemble.
 
-    The input is admitted before any witness is sought by four shifted
-    Cholesky certificates, one per mask none, A, B and C (see
-    ppt._admit), invariant under the local rotation that follows.  On
+    The input is admitted before any witness is sought (ppt._admit): masks
+    A, B and C and then rho itself are each settled by N steps of pivoted
+    Cholesky, which certify PSD at O((KMN)² N) where they can, and rho's
+    steps also give a KMN x N factor L with ||rho - LL†||_F certified.  On
     the success path no eigendecomposition of the state runs: the rank
     precondition is "within tol of rank N", the certificate's own standard.
     By Eckart-Young-Mirsky, the certified N-term ensemble bounds the
     eigenvalues of rho beyond the N-th, (sum_{i>N} lambda_i²)^{1/2} <=
     tol * ||rho||_F.  The state's spectrum, and with it the rank test, is
     computed only when a certificate fails or a later stage refuses, and a
-    rank other than N then takes the refusal's place.  Refusals come in
-    this order:
+    rank other than N then takes the refusal's place.
+
+    Every stage after the gate works on L's N x N blocks L_r, not on rho:
+    the witness is scored by the singular values of sum_r conj(w_r) L_r
+    (find_witness with the factor), the rotation U_A (x) U_B acts on L's
+    (KM, N²) view, the extraction reads the generators off
+    T_r = (L_c^{-1} L_r)† and decides the corner block F = L_c L_c† by the
+    singular values of L_c (canonical._extract), and the ensemble's C
+    vectors are L_c times the common eigenvectors.  The only later stage
+    that reads rho is the certificate, verify_ensemble at tol, O((KMN)² N).
+    Refusals come in this order:
 
     1. RankMismatch: the global rank differs from N (the construction does
        not apply);
     2. NotPptError: some partial transpose has a negative eigenvalue;
     3. NoWitness: no product pair with a full-rank sandwich block was found;
-    4. StructureViolation from the extraction on the rotated state (or
-       RankMismatch when its corner block F is not positive definite by the
-       rank rule, at the cutoff's edge), then
+    4. RankMismatch when the rotated corner block L_c L_c† has rank below N
+       by the rank rule (at the cutoff's edge), or StructureViolation from
+       the extraction's monomial and commutator bounds, then
        DegeneracyUnresolved from the joint diagonalization.  Its
        CommutatorViolation cannot arise here: the extraction has already
        tested the same _commutator_max of the same generators against the
@@ -283,15 +293,18 @@ def decompose(
 
     The returned ensemble has been verified by reconstruction at tol.
     """
-    rank_tested = _admit(state)
+    admission = _admit(state)
+    k, m, n = state.dims.as_tuple()
     try:
-        w = find_witness(state, witness, samples=samples, seed=seed, e_a=e_a, f_b=f_b)
+        w = find_witness(
+            state, witness, samples=samples, seed=seed, e_a=e_a, f_b=f_b, factor=admission.factor
+        )
         if w is None:
             raise NoWitness("no product witness with a full-rank sandwich block was found")
-        rotated, u_a, u_b = rotate_to_corner(state, w)
-        form, _ = _extract_admitted(rotated, tol)
-        form = replace(form, local_u_a=u_a, local_u_b=u_b)
-        ensemble = ensemble_from_form(form, tol=tol, seed=seed)
+        u_a, u_b = _completion_unitary(w.e_a, k), _completion_unitary(w.f_b, m)
+        rotated = np.kron(u_a, u_b) @ admission.factor.reshape(k * m, n * n)
+        form, corner, _ = _extract(rotated, state.dims, admission.residual, admission.norm, tol)
+        ensemble = _ensemble(replace(form, local_u_a=u_a, local_u_b=u_b), corner, tol, seed)
         # The public check gives the verdict; the failed invariants are listed
         # again only on the refusal path, for the message.
         _, ok = verify_ensemble(state, ensemble, tol=tol)
@@ -301,7 +314,7 @@ def decompose(
                 f"candidate ensemble failed certification: {'; '.join(failures)}"
             )
     except PptSepError:
-        if not rank_tested:
+        if not admission.rank_tested:
             _require_rank(state)
         raise
     return ensemble

@@ -218,7 +218,13 @@ def sandwich_ab(state: TripartiteState, e_a: np.ndarray, f_b: np.ndarray) -> np.
     Returns the resulting N x N matrix on subsystem C.  Both vectors must be
     normalized; a PSD input state yields a PSD sandwich.
     """
-    k, m, _ = state.dims.as_tuple()
+    e_a, f_b = _unit_pair(state.dims, e_a, f_b)
+    return _sandwiches(state, e_a[None], f_b[None])[0]
+
+
+def _unit_pair(dims: TripartiteDims, e_a, f_b) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a witness pair: unit vectors of C^K and C^M, as complex 1-D arrays."""
+    k, m = dims.k, dims.m
     e_a = np.asarray(e_a, dtype=complex).reshape(-1)
     f_b = np.asarray(f_b, dtype=complex).reshape(-1)
     if e_a.shape != (k,) or f_b.shape != (m,):
@@ -228,7 +234,7 @@ def sandwich_ab(state: TripartiteState, e_a: np.ndarray, f_b: np.ndarray) -> np.
     # Written so that a NaN norm fails it too.
     if not all(abs(np.linalg.norm(v) - 1.0) <= VEC_TOL for v in (e_a, f_b)):
         raise NormalizationError("witness vectors must be unit vectors")
-    return _sandwiches(state, e_a[None], f_b[None])[0]
+    return e_a, f_b
 
 
 # Transient memory of _sandwiches: candidates are contracted in chunks whose
@@ -268,16 +274,6 @@ def _conjugate_blocks(rho: np.ndarray, km: int, n: int, left, right) -> np.ndarr
     return (left @ blocks @ right).transpose(0, 2, 1, 3).reshape(km * n, km * n)
 
 
-def _permutation_of(u: np.ndarray) -> np.ndarray | None:
-    """perm with u[i, perm[i]] == 1 if u is exactly a permutation matrix, else None."""
-    ones = u == 1
-    if not np.all(ones | (u == 0)):
-        return None
-    if not (np.all(ones.sum(axis=0) == 1) and np.all(ones.sum(axis=1) == 1)):
-        return None
-    return np.argmax(ones, axis=1)
-
-
 def conjugate_local(
     state: TripartiteState,
     u_a: np.ndarray | None = None,
@@ -291,14 +287,11 @@ def conjugate_local(
     again on the conjugate transpose for the column side; U_C acts as a batched
     N x N conjugation of every block.  That is O(KM d²) + O(N d²) work for
     d = KMN, against O(d³) for the dense product; a factor left as None
-    costs no product at all.  When U_A ⊗ U_B is exactly a permutation matrix
-    (as for every computational-basis witness), it moves whole blocks, so it
-    is applied as one row and column gather: O(d²) and no arithmetic.  When
-    that permutation is the identity and U_C is None, the input state itself
-    is returned, as the gather and the constructor would reproduce it bit
-    for bit.  The GEMM products leave a rounding-size anti-Hermitian part;
-    the returned state is built by the validating constructor, which keeps
-    the Hermitian part only.
+    costs no product at all.  A permutation U_A ⊗ U_B, such as the rotation
+    of a computational-basis witness, moves every entry without rounding: each
+    product adds one entry times 1 to zeros.  The GEMM products leave a
+    rounding-size anti-Hermitian part otherwise; the returned state is built
+    by the validating constructor, which keeps the Hermitian part only.
     """
     k, m, n = state.dims.as_tuple()
     km, d = k * m, state.side
@@ -307,15 +300,8 @@ def conjugate_local(
         u_a = np.eye(k, dtype=complex) if u_a is None else u_a
         u_b = np.eye(m, dtype=complex) if u_b is None else u_b
         u_ab = np.kron(u_a, u_b)
-        perm = _permutation_of(u_ab)
-        if perm is not None:
-            if u_c is None and np.array_equal(perm, np.arange(km)):
-                return state
-            idx = (perm[:, None] * n + np.arange(n)).ravel()
-            rho = rho[np.ix_(idx, idx)]
-        else:
-            left = (u_ab @ rho.reshape(km, -1)).reshape(d, d)
-            rho = dagger((u_ab @ dagger(left).reshape(km, -1)).reshape(d, d))
+        left = (u_ab @ rho.reshape(km, -1)).reshape(d, d)
+        rho = dagger((u_ab @ dagger(left).reshape(km, -1)).reshape(d, d))
     if u_c is not None:
         u_c = np.asarray(u_c, dtype=complex)
         rho = _conjugate_blocks(rho, km, n, u_c, dagger(u_c))

@@ -22,6 +22,7 @@ transpose.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -130,14 +131,28 @@ def _require_rank(state: TripartiteState) -> np.ndarray:
     return spectrum
 
 
-def _admit(state: TripartiteState) -> bool:
-    """The PPT gate of the construction; returns whether it tested the rank.
+class Admission(NamedTuple):
+    """What _admit proved about an admitted state, and the factor it built.
+
+    factor is the d x N pivoted-Cholesky factor of rho from rho's own
+    certificate (zero columns where its pivoting stopped early), residual
+    the certified bound on ||rho - factor factor†||_F, and norm ||rho||_F.
+    """
+
+    rank_tested: bool
+    factor: np.ndarray
+    residual: float
+    norm: float
+
+
+def _admit(state: TripartiteState) -> Admission:
+    """The PPT gate of the construction; returns rho's factor and whether it tested the rank.
 
     Masks A, B and C are settled at ppt_report's default tolerance,
     PPT_TOL * trace(rho), by _psd_verdict's N-pivot certificate, then mask
     "none" by the same certificate on rho itself.  When all four are
-    certified PSD, no eigendecomposition of a KMN x KMN matrix runs, the
-    rank is not tested, and False is returned: a caller that goes on to
+    certified PSD, no eigendecomposition of a KMN x KMN matrix runs and the
+    rank is not tested (rank_tested is False): a caller that goes on to
     certify an N-term ensemble has shown that rho lies within its tol of
     rank N, and one that meets a refusal first tests the rank with
     _require_rank.  Otherwise rho is decomposed once, at the first refuted
@@ -147,12 +162,13 @@ def _admit(state: TripartiteState) -> bool:
     mask the certificate leaves undecided is settled by its own eigvalsh
     (before the rank test only when rho is proved PSD), so each verdict is
     ppt_report's, and NotPptError names every failing mask in ppt_report's
-    order.  A state that passes both returns True.  Both verdicts are
+    order.  A state that passes both has rank_tested True.  Both verdicts are
     invariant under local unitaries, so they may be taken before or after
-    a rotation to the corner.
+    a rotation to the corner.  Every admitted state has been through rho's
+    own certificate, whose N pivot steps give the returned factor.
     """
     tol = _default_tol(state)
-    norm_f = float(np.linalg.norm(state.rho))
+    norm_f = float(np.sqrt(np.vdot(state.rho, state.rho).real))  # see _psd_verdict
     n = state.dims.n
     passed = []
     spectrum = None
@@ -162,7 +178,7 @@ def _admit(state: TripartiteState) -> bool:
         # With all three alive at once, glibc can hand the freed memory back to
         # the OS after every call and fault it in again on the next: about 700
         # minor page faults per NotPptError refusal at (4,4,8).
-        passed.append(_psd_verdict(partial_transpose(state, mask), tol, norm_f, n))
+        passed.append(_psd_verdict(partial_transpose(state, mask), tol, norm_f, n)[0])
         # A refuted mask needs rho's spectrum for the rank test, and
         # RankMismatch outranks every mask verdict, so the rank is tested at
         # once: a state of another rank is refused before the next mask.
@@ -181,21 +197,28 @@ def _admit(state: TripartiteState) -> bool:
         # no spectrum.  One that fails or cannot decide (None) leaves the
         # verdict on rho to the spectrum, which tests the rank before a mask
         # still undecided is decomposed.
-        if _psd_verdict(state.rho, tol, norm_f, n):
+        verdict, factor, residual = _psd_verdict(state.rho, tol, norm_f, n)
+        if verdict:
             settle_undecided()
             if all(passed):
-                return False
+                return Admission(False, factor, residual, norm_f)
         spectrum = _require_rank(state)
     settle_undecided()
     passed.insert(0, float(spectrum[0]) >= -tol)
     failing = [mask.label for mask, ok in zip(ALL_MASKS, _by_mask(passed)) if not ok]
     if failing:
         raise NotPptError(f"state is not PPT (failing masks: {', '.join(failing)})")
-    return True
+    # Reached only when no mask was refuted, so rho's certificate has run.
+    return Admission(True, factor, residual, norm_f)
 
 
-def _psd_verdict(x: np.ndarray, tol: float, norm_f: float, n: int) -> bool | None:
+def _psd_verdict(
+    x: np.ndarray, tol: float, norm_f: float, n: int
+) -> tuple[bool | None, np.ndarray, float]:
     """eigvalsh(x)[0] >= -tol for an exactly Hermitian d x d x, or None where undecided.
+
+    Returned with the d x n factor L the verdict builds (columns past its
+    pivots are zero) and the bound on ||x - LL†||_F derived below.
 
     norm_f is ||x||_F; for a partial transpose x = rho^Gamma it equals
     ||rho||_F, since transposing subsystems only permutes entries.  n = N
@@ -221,7 +244,10 @@ def _psd_verdict(x: np.ndarray, tol: float, norm_f: float, n: int) -> bool | Non
       adds at most u |S_ij|.  So ||x - LL†||_F <= (1 + u) ||S||_F +
       gamma_{k+1} ||L||_F², by submultiplicativity of the Frobenius norm.
       Each computed norm sums at most 2 d² squares and takes a root, within
-      a relative gamma_{d²+3} of its value, so dividing by (1 - gamma_{d²+3})²
+      a relative gamma_{d²+3} of its value (for a d x d matrix the norm is
+      sqrt(Re <x, x>), one complex dot whose terms conj(z) z have the real
+      part re² + im²: the same squares, without np.linalg.norm's copies of
+      the real and imaginary parts), so dividing by (1 - gamma_{d²+3})²
       covers both norms and the few roundings of the bound itself.  If that
       bound plus beta is <= tol, eigvalsh could not read below -tol: True.
       The bound has no d² factor: about 1e-15 for a rank-N state, against
@@ -263,15 +289,15 @@ def _psd_verdict(x: np.ndarray, tol: float, norm_f: float, n: int) -> bool | Non
         factor[:, j] = column
         residual -= column.real**2 + column.imag**2
         pivots.append(p)
-    factor = factor[:, : len(pivots)]
-    s = factor @ factor.conj().T
+    used = factor[:, : len(pivots)]
+    s = used @ used.conj().T
     np.subtract(x, s, out=s)
     bound = (
-        (1 + eps) * np.linalg.norm(s) + gamma(len(pivots) + 1) * np.linalg.norm(factor) ** 2
+        (1 + eps) * np.sqrt(np.vdot(s, s).real) + gamma(len(pivots) + 1) * np.linalg.norm(used) ** 2
     ) / (1 - gamma(d * d + 3)) ** 2
     beta_x = beta(x, norm_f)
     if bound + beta_x <= tol:
-        return True
+        return True, factor, bound
     diagonal = s.diagonal().real.copy()
     diagonal[pivots] = np.inf
     negative = np.argsort(diagonal)[:n]
@@ -279,5 +305,5 @@ def _psd_verdict(x: np.ndarray, tol: float, norm_f: float, n: int) -> bool | Non
     q = np.unique(np.concatenate([np.array(pivots, dtype=int), negative, partners]))
     sub = x[np.ix_(q, q)]
     if np.linalg.eigvalsh(sub)[0] + beta(sub, np.linalg.norm(sub)) + beta_x < -tol:
-        return False
-    return None
+        return False, factor, bound
+    return None, factor, bound

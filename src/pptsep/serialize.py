@@ -179,8 +179,9 @@ def load_state(path, allow_unnormalized: bool = False) -> TripartiteState:
     """Read a StateFile.
 
     The matrix must be Hermitian with unit trace; with allow_unnormalized=True
-    a trace whose real part is at least TRACE_FLOOR is divided away instead of
-    rejected, and any other trace (negative, imaginary, zero) is refused.
+    a trace whose real part is finite and at least TRACE_FLOOR is divided away
+    instead of rejected, and any other trace (negative, imaginary, zero, or
+    overflowing) is refused.
     """
     doc, dims = _load_document(path, "state")
     mat = _complex_array(doc.get("matrix"), f"{path}: matrix", 2)
@@ -189,11 +190,14 @@ def load_state(path, allow_unnormalized: bool = False) -> TripartiteState:
             f"{path}: matrix shape {mat.shape} does not match dims {dims.as_tuple()}"
         )
     if allow_unnormalized:
-        tr = complex(mat.trace())
-        if not tr.real >= TRACE_FLOOR:
+        # Finite entries can sum past the largest float; that trace is refused below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            tr = complex(mat.trace())
+        if not TRACE_FLOOR <= tr.real < np.inf:
+            problem = "too small to normalize away" if np.isfinite(tr.real) else "overflows"
             raise ValueError(
-                f"{path}: trace {tr:.3g} too small to normalize away "
-                f"(its real part must be at least {TRACE_FLOOR:.0e})"
+                f"{path}: trace {tr:.3g} {problem} "
+                f"(its real part must be finite and at least {TRACE_FLOOR:.0e})"
             )
         mat = mat / tr.real
     return TripartiteState(dims, mat)

@@ -34,13 +34,9 @@ from pptsep import (
     sandwich_ab,
     shifts_complement_state,
 )
-from pptsep.canonical import (
-    _commutator_max,
-    _completion_unitary,
-    _extract_admitted,
-    _kernel_residual,
-)
-from pptsep.linalg import CERT_TOL, SANDWICH_CHUNK_BYTES, _family_scale, _permutation_of, dagger
+from pptsep.canonical import _commutator_max, _completion_unitary, _extract
+from pptsep.linalg import CERT_TOL, SANDWICH_CHUNK_BYTES, _family_scale, dagger
+from pptsep.ppt import _admit
 
 
 def unit(dim, idx):
@@ -202,12 +198,10 @@ class TestFindWitness:
             tracemalloc.stop()
         assert w is not None and peak < 2 * 2**20
 
-    @pytest.mark.parametrize(
-        "mode, sandwich_calls", [("corner", 0), ("search", 0), ("explicit", 1)]
-    )
-    def test_one_stacked_svd_and_no_per_candidate_sandwich(self, monkeypatch, mode, sandwich_calls):
-        """Corner and search modes contract every candidate at once; only an
-        explicit pair goes through the validating sandwich_ab."""
+    @pytest.mark.parametrize("mode", ["corner", "search", "explicit"])
+    def test_one_stacked_svd_and_no_per_candidate_sandwich(self, monkeypatch, mode):
+        """Every mode contracts its candidates at once; an explicit pair is validated
+        on its own (linalg._unit_pair) and goes through no sandwich_ab either."""
         state, _ = gen_canonical_state(GenSpec(dims=TripartiteDims(3, 3, 4), seed=0))
         calls = {"sandwich_ab": 0, "svd": []}
 
@@ -225,7 +219,7 @@ class TestFindWitness:
         monkeypatch.setattr(np.linalg, "svd", counted_svd)
         find_witness(state, mode, samples=40, e_a=unit(3, 0), f_b=unit(3, 0))
         candidates = {"corner": 9, "search": 9 + 40, "explicit": 1}[mode]
-        assert calls == {"sandwich_ab": sandwich_calls, "svd": [(candidates, 4, 4)]}
+        assert calls == {"sandwich_ab": 0, "svd": [(candidates, 4, 4)]}
 
 
 class TestRotateToCorner:
@@ -248,28 +242,19 @@ class TestRotateToCorner:
     @pytest.mark.parametrize(
         "mode,seed", [("corner", 1), ("corner", 0), ("search", 0), ("search", 6), ("explicit", 0)]
     )
-    def test_rotated_state_is_bit_identical_to_the_gather_or_gemm(self, mode, seed):
-        """Every witness kind rotates to the bytes that the permutation gather, or
-        the two GEMMs, and the validating constructor give; an identity rotation
-        (seed 1's corner witness, the explicit corner pair) returns the state itself."""
+    def test_rotated_state_is_bit_identical_to_the_gemm(self, mode, seed):
+        """Every witness kind rotates to the bytes that the two GEMMs and the validating
+        constructor give."""
         dims = TripartiteDims(3, 3, 4)
         k, m, n = dims.as_tuple()
         state, _ = gen_canonical_state(GenSpec(dims=dims, seed=seed))
         w = find_witness(state, mode, e_a=unit(k, k - 1), f_b=unit(m, m - 1))
         rotated, u_a, u_b = rotate_to_corner(state, w)
         u_ab = np.kron(u_a, u_b)
-        perm = _permutation_of(u_ab)
-        if perm is not None:
-            idx = (perm[:, None] * n + np.arange(n)).ravel()
-            rho = state.rho[np.ix_(idx, idx)]
-        else:
-            d = state.side
-            left = (u_ab @ state.rho.reshape(k * m, -1)).reshape(d, d)
-            rho = dagger((u_ab @ dagger(left).reshape(k * m, -1)).reshape(d, d))
+        d = state.side
+        left = (u_ab @ state.rho.reshape(k * m, -1)).reshape(d, d)
+        rho = dagger((u_ab @ dagger(left).reshape(k * m, -1)).reshape(d, d))
         assert rotated.rho.tobytes() == TripartiteState(dims, rho).rho.tobytes()
-        identity = perm is not None and np.array_equal(perm, np.arange(k * m))
-        assert (rotated is state) == identity
-        assert identity == ((mode, seed) in {("corner", 1), ("explicit", 0)})
 
     def test_general_witness_unitary_and_spectrum_preserving(self):
         dims = TripartiteDims(3, 4, 2)
@@ -425,39 +410,54 @@ class TestExtractCanonical:
 
 
 class TestExtractionBounds:
-    """_extract_admitted's two bounds, met at 0.5x and broken at 1.5x, without the admission."""
+    """_extract's structure bound, met at 0.5x and broken at 1.5x, on an admitted factor.
+
+    The bound on ||rho - R||_F / ||rho||_F is (residual + ||LL† - L_m L_m†||_F)
+    / norm; each test drives one of its terms.
+    """
+
+    @staticmethod
+    def admitted(seed=1, **spec):
+        state, _ = gen_canonical_state(GenSpec(dims=TripartiteDims(3, 3, 4), seed=seed, **spec))
+        return state, _admit(state)
 
     @pytest.mark.parametrize("factor, ok", [(0.5, True), (1.5, False)])
-    def test_reconstruction_residual(self, factor, ok):
-        """A traceless Hermitian term on block (0, 0), off the last block row and column,
-        leaves F and the generators as they are and moves only the filtered residual."""
-        dims = TripartiteDims(3, 3, 4)
-        state, _ = gen_canonical_state(GenSpec(dims=dims, seed=1))
-        n = dims.n
-        f = block(state, 8, 8)
-        s = fractional_matrix_power(f, -0.5)
+    def test_monomial_defect(self, factor, ok):
+        """A defect on T_(0,0), off the generator slots, counts by the dense gap
+        ||LL† - L_m L_m†||_F, with L_m,r = L_c (GB_u GA_v)† formed block by block."""
+        state, admission = self.admitted()
+        l = admission.factor.copy()
+        blocks = l.reshape(9, 4, 4)
         rng = np.random.default_rng(0)
-        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        e = (z + z.conj().T) / 2 - np.eye(n) * np.trace(z).real / n
-        e *= factor * CERT_TOL * np.linalg.norm(filter_corner(state, f)[0]) / np.linalg.norm(s @ e @ s)
-        rho = state.rho.copy()
-        rho[:n, :n] += e
-        perturbed = TripartiteState(dims, rho)
+        z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        blocks[0] += blocks[-1] @ dagger(1e-4 * z)  # T_0 = (L_c^{-1} L_0)† gains 1e-4 z
+        t = [dagger(np.linalg.solve(blocks[-1], b)) for b in blocks]
+        eye = np.eye(4)
+        ga, gb = [t[6], t[7], eye], [t[2], t[5], eye]
+        l_m = np.vstack([blocks[-1] @ dagger(gb[u] @ ga[v]) for u in range(3) for v in range(3)])
+        gap = np.linalg.norm(l @ dagger(l) - l_m @ dagger(l_m))
+        norm = gap / (factor * CERT_TOL)
         if ok:
-            _, diagnostics = _extract_admitted(perturbed, CERT_TOL)
-            assert diagnostics.reconstruction_residual == pytest.approx(
-                factor * CERT_TOL, rel=1e-3
-            )
+            _extract(l, state.dims, 0.0, norm, CERT_TOL)
         else:
-            with pytest.raises(StructureViolation, match="reconstruction residual 1.5"):
-                _extract_admitted(perturbed, CERT_TOL)
+            with pytest.raises(StructureViolation, match="reconstruction bound 1.5"):
+                _extract(l, state.dims, 0.0, norm, CERT_TOL)
+
+    @pytest.mark.parametrize("factor, ok", [(0.5, True), (1.5, False)])
+    def test_admission_residual(self, factor, ok):
+        """The certified ||rho - LL†||_F counts in full, relative to ||rho||_F."""
+        state, admission = self.admitted()
+        residual = factor * CERT_TOL * admission.norm
+        if ok:
+            _extract(admission.factor, state.dims, residual, admission.norm, CERT_TOL)
+        else:
+            with pytest.raises(StructureViolation, match="reconstruction bound 1.5"):
+                _extract(admission.factor, state.dims, residual, admission.norm, CERT_TOL)
 
     @pytest.mark.parametrize("factor, ok", [(0.5, True), (1.5, False)])
     def test_commutator(self, monkeypatch, factor, ok):
         """The family defect is held to tol * s², with s > 1 here."""
-        state, _ = gen_canonical_state(
-            GenSpec(dims=TripartiteDims(3, 3, 4), seed=1, generator_scale=3.0)
-        )
+        state, admission = self.admitted(generator_scale=3.0)
         scales = []
 
         def defect(gens):
@@ -465,13 +465,41 @@ class TestExtractionBounds:
             return factor * CERT_TOL * scales[-1] ** 2
 
         monkeypatch.setattr(pptsep.canonical, "_commutator_max", defect)
+        args = (admission.factor, state.dims, admission.residual, admission.norm, CERT_TOL)
         if ok:
-            _, diagnostics = _extract_admitted(state, CERT_TOL)
+            _, _, diagnostics = _extract(*args)
             assert diagnostics.commutator_max == factor * CERT_TOL * scales[0] ** 2
         else:
             with pytest.raises(StructureViolation, match="commutator max"):
-                _extract_admitted(state, CERT_TOL)
+                _extract(*args)
         assert scales[0] > 1
+
+    @pytest.mark.parametrize("seed", [12, 13, 14])
+    @pytest.mark.parametrize("cap", [1e2, 1e6])
+    def test_diagnostics_bound_the_filtered_residuals(self, seed, cap):
+        """Each residual field bounds its quantity on filter_corner(state, form.f), as
+        the dense extraction computed it: T†T's residual, its (K-2, M-2) diagonal
+        block, and the kernel vectors' images."""
+        dims = TripartiteDims(3, 3, 4)
+        k, m, n = dims.as_tuple()
+        state, _ = gen_canonical_state(GenSpec(dims=dims, seed=seed, f_condition_cap=cap))
+        form, diag = extract_canonical(state)
+        rho_f, _ = filter_corner(state, form.f)
+        t = form.t_matrix()
+        residual = rho_f - dagger(t) @ t
+        assert np.linalg.norm(residual) / np.linalg.norm(rho_f) <= diag.reconstruction_residual
+        r = slice(((k - 2) * m + m - 2) * n, ((k - 2) * m + m - 1) * n)
+        assert np.linalg.norm(residual[r, r]) <= diag.delta_norm
+        corner = rho_f[:, (k * m - 1) * n :]
+        slots = [((k - 1) * m + v) * n for v in range(m - 1)] + [
+            (u * m + m - 1) * n for u in range(k - 1)
+        ]
+        for slot, g in zip(slots, form.generators()):
+            image = rho_f[:, slot : slot + n] - corner @ g
+            kernel = np.linalg.norm(image, axis=0) / np.sqrt(1 + np.linalg.norm(g, axis=0) ** 2)
+            assert kernel.max() <= diag.kernel_residual_max
+        if cap == 1e2:  # at cap 1e6, residual / sigma_min(L_c)² alone is about 1e-8
+            assert max(diag.reconstruction_residual, diag.delta_norm, diag.kernel_residual_max) < 1e-8
 
 
 class TestTMatrixLayout:
@@ -498,46 +526,6 @@ class TestTMatrixLayout:
         t = truth.t_matrix()
         assert t.shape == (2, 24)
         np.testing.assert_array_equal(t[:, -2:], np.eye(2))
-
-
-class TestKernelVectors:
-    """The kernel-vector residual of ExtractionDiagnostics.kernel_residual_max.
-
-    Each form comes from extract_canonical, so its frame is the state's own.
-    """
-
-    @staticmethod
-    def residual(state, form):
-        return _kernel_residual(filter_corner(state, form.f)[0], form)
-
-    def test_zero_for_identity_corner(self):
-        dims = TripartiteDims(3, 3, 2)
-        state = identity_corner_state(dims)
-        rotated, u_a, u_b = rotate_to_corner(state, find_witness(state, "corner"))
-        form, _ = extract_canonical(rotated)
-        assert self.residual(rotated, form) < 1e-14
-
-    @pytest.mark.parametrize("seed", [12, 13, 14])
-    def test_small_on_generated_states(self, seed):
-        dims = TripartiteDims(3, 3, 4)
-        state, _ = gen_canonical_state(GenSpec(dims=dims, seed=seed))
-        form, _ = extract_canonical(state)
-        assert self.residual(state, form) < 1e-10
-
-    def test_detects_corner_perturbation(self):
-        """1e-3 noise on the corner block must push the residual well past 1e-4."""
-        dims = TripartiteDims(3, 3, 2)
-        state, _ = gen_canonical_state(GenSpec(dims=dims, seed=42))
-        form, _ = extract_canonical(state)
-        rng = np.random.default_rng(0)
-        h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        h = (h + h.conj().T) / 2
-        h -= np.eye(2) * h.trace() / 2
-        h *= 1e-3 / np.linalg.norm(h)
-        rho = state.rho.copy()
-        rho[16:18, 16:18] += h
-        perturbed = TripartiteState(dims, rho)
-        assert self.residual(perturbed, form) > 1e-4
 
 
 def _qubit_form(a_count):

@@ -88,6 +88,21 @@ class TestCheckPpt:
         assert "too small to normalize away" in captured.err
 
 
+    @pytest.mark.filterwarnings("error")  # the overflowing sum is refused without a warning
+    def test_trace_that_overflows_exits_two(self, capsys, tmp_path):
+        """--allow-unnormalized on diagonal entries of 1e308 names the infinite trace."""
+        p = tmp_path / "huge.json"
+        save_state(qubit_corner_state(0.3), p)
+        doc = json.loads(p.read_text())
+        for i, row in enumerate(doc["matrix"]):
+            row[i] = [1e308, 0.0]
+        p.write_text(json.dumps(doc))
+        assert main(["check-ppt", str(p), "--allow-unnormalized"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "trace inf+0j overflows" in captured.err
+
+
 class TestDecompose:
     def test_identity_corner_full_run(self, capsys, tmp_path):
         state_path = tmp_path / "state.json"
@@ -135,7 +150,7 @@ class TestDecompose:
         save_state(corner_only_state(0.5 + excess), p)
         code, doc = run(capsys, "decompose", str(p))
         assert code == 3
-        assert doc["error"] == "RankMismatch"
+        assert doc["error"] == "NoWitness"
 
     def test_explicit_witness_requires_both_vectors(self, capsys, ppt_state_file):
         code, doc = run(

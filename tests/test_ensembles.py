@@ -1,5 +1,7 @@
 """Tests for simultaneous diagonalization, decomposition, and ensemble certification."""
 
+import importlib
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -253,25 +255,25 @@ class TestDecomposeExamples:
         decompose(state, **kwargs)
         assert counts == {}
 
-    def test_corner_block_is_decomposed_without_an_svd(self, monkeypatch):
-        """F is decomposed twice: once by the filter and once for the ensemble's F^{1/2}.
-
-        The filter's one eigh gives F's rank, its condition number and
-        F^{-1/2}; no SVD or eigvalsh of F runs.
-        """
+    def test_corner_block_is_never_decomposed(self, monkeypatch):
+        """F is neither formed nor decomposed: one SVD of the corner factor L_c gives
+        F's rank and condition, and the witness's one stacked SVD is of shape (1, 4, 4)."""
         state, _ = gen_canonical_state(GenSpec(dims=TripartiteDims(3, 3, 4), seed=2))
         f = block(state, 8, 8)  # the corner witness (|2>, |2>) needs no rotation
-        counts = count_linalg_calls(monkeypatch, lambda a: np.array_equal(a, f))
+        on_f = count_linalg_calls(monkeypatch, lambda a: np.allclose(a, f, rtol=0, atol=1e-12))
+        square = count_linalg_calls(monkeypatch, lambda a: np.shape(a) == (4, 4))
         decompose(state, witness="explicit", e_a=[0, 0, 1], f_b=[0, 0, 1])
-        assert counts == {"eigh": 2}
+        assert on_f == {}
+        assert square["svd"] == 1
 
     @pytest.mark.parametrize("excess", [1e-12, 2e-10])
     @pytest.mark.parametrize("mode", ["search", "corner"])
-    def test_corner_block_with_a_negative_eigenvalue_is_a_rank_refusal(
+    def test_corner_block_with_a_negative_eigenvalue_has_no_witness(
         self, corner_only_state, excess, mode
     ):
-        """F's eigenvalue -excess counts as missing rank, on either side of PSD_CLIP."""
-        with pytest.raises(RankMismatch, match=r"^corner block rank 1 != N = 2; rotate"):
+        """F's eigenvalue -excess lies inside the PPT tolerance, so the state is admitted,
+        but rho's N-pivot factor stops after one pivot: every B B† has rank 1."""
+        with pytest.raises(NoWitness):
             decompose(corner_only_state(0.5 + excess), witness=mode)
 
     def test_nan_explicit_witness_is_a_typed_refusal(self):
@@ -330,6 +332,79 @@ class TestDecomposeExamples:
                     if isinstance(item, np.ndarray) and item.shape == (side, side):
                         assert item is bell_mixture.rho
             tb = tb.tb_next
+
+
+# The dense stages a decomposition ran after admission before the factor pipeline.
+DENSE_STAGES = (
+    ("pptsep.linalg", "conjugate_local"),
+    ("pptsep.linalg", "_sandwiches"),
+    ("pptsep.linalg", "psd_sqrt"),
+    ("pptsep.canonical", "filter_corner"),
+)
+
+
+def forbid_dense_stages(monkeypatch):
+    """Make every module binding of the DENSE_STAGES functions raise."""
+    originals = [getattr(importlib.import_module(mod), name) for mod, name in DENSE_STAGES]
+
+    def refuse(name):
+        def raising(*args, **kwargs):
+            raise AssertionError(f"{name} ran on the decompose path")
+
+        return raising
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "pptsep" or module_name.startswith("pptsep."):
+            for attr, value in list(vars(module).items()):
+                if any(value is f for f in originals):
+                    monkeypatch.setattr(module, attr, refuse(attr))
+
+
+class TestFactorPipeline:
+    """After admission, decompose works on the d x N factor, not on rho."""
+
+    @pytest.mark.parametrize("mode", ["corner", "search", "explicit"])
+    @pytest.mark.parametrize("scrambled", [False, True])
+    def test_no_dense_stage_after_admission(self, monkeypatch, mode, scrambled):
+        """decompose certifies with the dense rotation, filter, sandwiches and F^{1/2}
+        all raising; the scrambled state's explicit witness is the image of the corner."""
+        dims = TripartiteDims(3, 3, 4)
+        state, _ = gen_canonical_state(GenSpec(dims=dims, seed=3))
+        e_a, f_b = np.eye(3, dtype=complex)[2], np.eye(3, dtype=complex)[2]
+        if scrambled:
+            rng = np.random.default_rng(8)
+            u_a, u_b = haar_unitary(3, rng), haar_unitary(3, rng)
+            state = conjugate_local(state, u_a=u_a, u_b=u_b)
+            e_a, f_b = u_a @ e_a, u_b @ f_b
+        forbid_dense_stages(monkeypatch)
+        ensemble = decompose(state, witness=mode, e_a=e_a, f_b=f_b)
+        residual, ok = verify_ensemble(state, ensemble)
+        assert ok and len(ensemble.terms) == dims.n
+
+    @pytest.mark.parametrize("mode", ["corner", "search"])
+    @pytest.mark.parametrize(
+        "case",
+        [(2, 2, 2, 0), (2, 2, 2, 1), (3, 3, 4, 0), (3, 3, 4, 3), (4, 4, 8, 1), (2, 3, 5, 2),
+         (2, 3, 5, 4), (6, 6, 8, 2), (4, 4, 6, 3), (2, 2, 8, 5)],
+    )
+    def test_factor_scored_witness_matches_find_witness(self, monkeypatch, case, mode):
+        """decompose scores B = sum_r conj(w_r) L_r and picks the pair that the public,
+        dense find_witness picks, bit for bit, on the generated cases of
+        test_canonical's per-candidate reference."""
+        *dims, seed = case
+        state, _ = gen_canonical_state(GenSpec(dims=TripartiteDims(*dims), seed=seed))
+        want = find_witness(state, mode, seed=seed)
+        chosen = []
+
+        def recording(*args, **kwargs):
+            assert kwargs["factor"] is not None
+            chosen.append(find_witness(*args, **kwargs))
+            return chosen[-1]
+
+        monkeypatch.setattr(ensembles, "find_witness", recording)
+        decompose(state, witness=mode, seed=seed)
+        assert chosen[0].e_a.tobytes() == want.e_a.tobytes()
+        assert chosen[0].f_b.tobytes() == want.f_b.tobytes()
 
 
 def near_rank_n_state(dims, seed, eps):

@@ -370,80 +370,16 @@ class TestConjugateLocal:
         out = conjugate_local(state, **{f"u_{f}": ops["abc".index(f)] for f in factors})
         np.testing.assert_allclose(out.rho, w @ state.rho @ w.conj().T, rtol=0, atol=1e-13)
 
-    @staticmethod
-    def _spy_permutation_of(monkeypatch):
-        """Record what linalg._permutation_of returns on each call."""
-        import pptsep.linalg as linalg
-
-        seen = []
-        real = linalg._permutation_of
-
-        def spy(u):
-            perm = real(u)
-            seen.append(perm)
-            return perm
-
-        monkeypatch.setattr(linalg, "_permutation_of", spy)
-        return seen
-
-    @pytest.mark.parametrize("with_c", [False, True], ids=["c-omitted", "c-given"])
     @pytest.mark.parametrize(
         "dims,perm_a,perm_b",
         [((2, 2, 3), [0, 1], [0, 1]), ((2, 2, 3), [1, 0], [0, 1]), ((2, 3, 5), [1, 0], [2, 0, 1])],
         ids=["identity", "swap", "k-ne-m"],
     )
-    def test_permutation_is_gathered_like_the_dense_formula(
-        self, monkeypatch, dims, perm_a, perm_b, with_c
-    ):
-        """An exact permutation U_A ⊗ U_B is applied by index gather, with the dense result."""
-        from pptsep import haar_unitary
-
-        seen = self._spy_permutation_of(monkeypatch)
+    def test_permutation_moves_entries_without_rounding(self, dims, perm_a, perm_b):
+        """A permutation U_A ⊗ U_B gives exactly the entries of the dense formula."""
         state = random_state(TripartiteDims(*dims), seed=15)
         u_a = np.eye(dims[0], dtype=complex)[perm_a]
         u_b = np.eye(dims[1], dtype=complex)[perm_b]
-        u_c = haar_unitary(dims[2], np.random.default_rng(16)) if with_c else None
-        out = conjugate_local(state, u_a=u_a, u_b=u_b, u_c=u_c)
-        assert len(seen) == 1 and seen[0] is not None
-        w = np.kron(np.kron(u_a, u_b), np.eye(dims[2]) if u_c is None else u_c)
-        dense = w @ state.rho @ w.conj().T
-        if with_c:
-            np.testing.assert_allclose(out.rho, dense, rtol=0, atol=1e-13)
-        else:
-            np.testing.assert_array_equal(out.rho, (dense + dense.conj().T) / 2)
-
-    @pytest.mark.parametrize("kind", ["phase-permutation", "general"])
-    def test_other_unitaries_take_the_product_path(self, monkeypatch, kind):
-        from pptsep import haar_unitary
-
-        seen = self._spy_permutation_of(monkeypatch)
-        dims = (2, 3, 2)
-        state = random_state(TripartiteDims(*dims), seed=17)
-        rng = np.random.default_rng(18)
-        if kind == "general":
-            u_a, u_b = haar_unitary(2, rng), haar_unitary(3, rng)
-        else:
-            u_a = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, 2))) @ np.eye(2)[[1, 0]]
-            u_b = np.eye(3, dtype=complex)[[2, 0, 1]]
         out = conjugate_local(state, u_a=u_a, u_b=u_b)
-        assert len(seen) == 1 and seen[0] is None
         w = np.kron(np.kron(u_a, u_b), np.eye(dims[2]))
-        np.testing.assert_allclose(out.rho, w @ state.rho @ w.conj().T, rtol=0, atol=1e-13)
-
-    @pytest.mark.parametrize(
-        "u",
-        [
-            [[1, 0.5], [0, 1]],
-            [[0, 1j], [1, 0]],
-            [[1, 0], [0, 1 + 1e-16j]],
-            [[1, 0], [1, 0]],
-        ],
-        ids=["unit-triangular", "phase", "near-one", "repeated-row"],
-    )
-    def test_only_exact_permutations_are_gathered(self, u):
-        from pptsep.linalg import _permutation_of
-
-        assert _permutation_of(np.array(u, dtype=complex)) is None
-        np.testing.assert_array_equal(
-            _permutation_of(np.eye(3, dtype=complex)[[2, 0, 1]]), [2, 0, 1]
-        )
+        np.testing.assert_array_equal(out.rho, w @ state.rho @ w.conj().T)

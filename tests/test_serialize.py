@@ -97,6 +97,17 @@ class TestStateRoundTrip:
             load_state(p, allow_unnormalized=True)
 
 
+    @pytest.mark.filterwarnings("error")  # the overflowing sum is refused without a warning
+    def test_trace_that_overflows_is_refused(self, tmp_path):
+        """Diagonal entries of 1e308 sum to an infinite trace, which is named, not divided by."""
+        matrix = [[[1e308, 0.0] if i == j else [0.0, 0.0] for j in range(4)] for i in range(4)]
+        p = tmp_path / "state.json"
+        p.write_text(json.dumps(state_doc(matrix=matrix)))
+        message = r"trace inf\+0j overflows \(its real part must be finite"
+        with pytest.raises(ValueError, match=message):
+            load_state(p, allow_unnormalized=True)
+
+
 class TestEnsembleRoundTrip:
     def test_load_save_is_identity(self, state, tmp_path):
         ens = decompose(state, witness="corner")
