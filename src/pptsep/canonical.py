@@ -105,13 +105,15 @@ class ExtractionDiagnostics:
 
     The residual fields are upper bounds, exact in exact arithmetic, on the
     residuals of the filtered state rho_f = filter_corner(state, form.f)
-    against the returned form (see _extract): reconstruction_residual on
-    ||rho_f - T†T||_F / ||rho_f||_F, delta_norm on the Frobenius norm of that
-    residual's diagonal block at grid position (K-2, M-2), and
-    kernel_residual_max on |rho_f psi| / |psi| over the kernel vectors
-    psi = |slot>|e> - |K-1, M-1> G|e> of the generators.  commutator_max is
-    computed: the largest normality or commutation defect of the family.
-    f_condition is F's condition number, (sigma_max / sigma_min)² of L_c.
+    against the returned form (see extract_canonical):
+    reconstruction_residual on ||rho_f - T†T||_F / ||rho_f||_F, delta_norm
+    on the Frobenius norm of that residual's diagonal block at grid position
+    (K-2, M-2), and kernel_residual_max on |rho_f psi| / |psi| over the
+    kernel vectors psi = |slot>|e> - |K-1, M-1> G|e> of the generators.
+    They grow with F's condition and can pass 1e-8 from f_condition about
+    3e5, whatever the dense residuals read.  commutator_max is computed:
+    the largest normality or commutation defect of the family.  f_condition
+    is F's condition number, (sigma_max / sigma_min)² of L_c.
     """
 
     state_rank: int
@@ -166,7 +168,10 @@ def find_witness(
     L's blocks and the product vector w = e_a (x) f_b: one (P, KM) @
     (KM, N²) product gives every B, and the squares of their singular values
     are ranked by the same rules, with no KMN x KMN work.  An indefinite state
-    has no such factor, so it is scored on its dense sandwiches.
+    has no such factor, so it is scored on its dense sandwiches, and so is a
+    state whose factor has a zero last column: its pivoting stopped early, at
+    an eigenvalue within the PPT tolerance of zero or below, so no B B† can
+    reach rank N while rho's own sandwiches still may.
     """
     k, m, n = state.dims.as_tuple()
     if mode in ("corner", "search"):
@@ -190,12 +195,12 @@ def find_witness(
     else:
         raise ValueError(f"unknown witness mode {mode!r}")
 
-    if factor is None:
+    w = (eas[:, :, None] * fbs[:, None, :]).reshape(-1, k * m)  # the product vectors
+    if factor is None or not factor[:, -1].any():
         # Singular values, not eigenvalues: an indefinite input state can give an
         # indefinite sandwich, whose rank and conditioning are set by |lambda|.
-        sv = np.linalg.svd(hermitize(_sandwiches(state, eas, fbs)), compute_uv=False)
+        sv = np.linalg.svd(hermitize(_sandwiches(state, w)), compute_uv=False)
     else:
-        w = (eas[:, :, None] * fbs[:, None, :]).reshape(-1, k * m)
         b = (w.conj() @ factor.reshape(k * m, n * n)).reshape(-1, n, n)
         sv = np.linalg.svd(b, compute_uv=False) ** 2
     full_rank = _rank_above_cutoff(sv, n) == n
@@ -249,16 +254,24 @@ def rotate_to_corner(
     return conjugate_local(state, u_a=u_a, u_b=u_b), u_a, u_b
 
 
+def _require_full_corner(ev: np.ndarray, n: int) -> None:
+    """RankMismatch unless F's eigenvalues ev give it rank N by _rank_above_cutoff."""
+    rank = _rank_above_cutoff(ev, n)
+    if rank != n:
+        raise RankMismatch(f"corner block rank {rank} != N = {n}; rotate a full-rank witness first")
+
+
 def filter_corner(state: TripartiteState, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Apply the corner filter: (I (x) I (x) F^{-1/2}) rho (I (x) I (x) F^{-1/2}).
 
-    The one place that decides F.  One eigh of the Hermitian corner block F
-    gives its rank, by _rank_above_cutoff on the signed spectrum, so a
-    negative eigenvalue counts as missing rank: F must be positive definite
-    by the package's rank rule, or RankMismatch is raised.  The same
-    eigenpairs give s = F^{-1/2}.  The lift is block diagonal, so it is
-    applied as s @ X @ s to each N x N block X of the state: O(N d²) work for
-    d = KMN, and the KMN x KMN lift is never formed.
+    Not on the library's own path, where _extract decides F on the factor's
+    corner block by the same _require_full_corner.  Here one eigh of the
+    Hermitian F gives its rank on the signed spectrum, so a negative
+    eigenvalue counts as missing rank: F must be positive definite by the
+    package's rank rule, or RankMismatch is raised.  The same eigenpairs
+    give s = F^{-1/2}.  The lift is block diagonal, so it is applied as
+    s @ X @ s to each N x N block X of the state: O(N d²) work for d = KMN,
+    and the KMN x KMN lift is never formed.
 
     Returns (rho_f, w): the filtered state and the ascending eigenvalues of F.
     """
@@ -267,11 +280,7 @@ def filter_corner(state: TripartiteState, f: np.ndarray) -> tuple[np.ndarray, np
     if f.shape != (n, n):
         raise DimensionMismatch(f"corner block has shape {f.shape}, expected ({n}, {n})")
     w, v = np.linalg.eigh(f)
-    rank = _rank_above_cutoff(w, n)
-    if rank != n:
-        raise RankMismatch(
-            f"corner block rank {rank} != N = {n}; rotate a full-rank witness first"
-        )
+    _require_full_corner(w, n)
     s = hermitize(v @ np.diag(1.0 / np.sqrt(w)) @ dagger(v))
     return hermitize(_conjugate_blocks(state.rho, k * m, n, s, s)), w
 
@@ -312,7 +321,7 @@ def _gram_gap(l: np.ndarray, delta: np.ndarray) -> float:
 
 def _extract(
     factor: np.ndarray, dims: TripartiteDims, residual: float, norm: float, tol: float
-) -> tuple[CanonicalForm, np.ndarray, ExtractionDiagnostics]:
+) -> tuple[CanonicalForm, np.ndarray, np.ndarray, np.ndarray]:
     """The canonical form read off a d x N factor L of rho, in the frame of W.
 
     residual bounds ||rho - LL†||_F and norm is ||rho||_F, both from the
@@ -320,15 +329,16 @@ def _extract(
     module docstring), that is of (I (x) I (x) W†) rho (I (x) I (x) W), whose
     corner block is W† F W = L_c† L_c; the corner block L_c of L, which maps
     that frame's sqrt(L_c† L_c) |f> to the state's F^{1/2} W |f>; and the
-    diagnostics.  O(KM N³): nothing of size d x d.
+    stacks T and T - T_m, with T_m below.  O(KM N³): nothing of size d x d.
 
-    The singular values of L_c decide F = L_c L_c†: its eigenvalues are
-    their squares, and F needs rank N by _rank_above_cutoff, or RankMismatch
-    is raised.  One solve gives every T_r = (L_c^{-1} L_r)†, so that
-    L_r = L_c T_r†.  The generators are T at their slots, and the monomial
-    row T_m holds GB_u GA_v at every slot (u, v), with GA_{M-1} = GB_{K-1} = I.
-    The ensemble the generators give rebuilds R = L_m L_m† for the blocks
-    L_m,r = L_c T_m,r†, so with the monomial defect Δ = L - L_m,
+    F is decided here on the library path: its eigenvalues are the squares
+    of L_c's singular values, and _require_full_corner refuses it with
+    RankMismatch unless they give it rank N.  One solve gives every
+    T_r = (L_c^{-1} L_r)†, so that L_r = L_c T_r†.  The generators are T at
+    their slots, and the monomial row T_m holds GB_u GA_v at every slot
+    (u, v), with GA_{M-1} = GB_{K-1} = I.  The ensemble the generators give
+    rebuilds R = L_m L_m† for the blocks L_m,r = L_c T_m,r†, so with the
+    monomial defect Δ = L - L_m,
 
         ||rho - R||_F <= residual + ||LL† - L_m L_m†||_F,
 
@@ -336,26 +346,12 @@ def _extract(
     raised when that bound exceeds tol * norm, or when the family's
     normality and commutation defect exceeds tol * s², as
     simultaneous_diagonalize requires.
-
-    The diagnostics bound the dense filtered frame of the returned form.
-    There rho - LL† costs at most e = residual / sigma_min(L_c)², and LL†
-    is T†T up to the unitary W, so ||rho_f - T_m†T_m||_F <= e +
-    ||T†T - T_m†T_m||_F, by _gram_gap on the T-space defect D = T - T_m;
-    ||rho_f||_F >= ||T T†||_F - e.  A single block of the residual is
-    bounded by (2 ||T_r||_F + ||D_r||_F) ||D_r||_F + e, and, as T_c - I is
-    all that is left of the kernel vectors' images, their residual by
-    e + ||T||_F ||D_c||_F.
     """
     k, m, n = dims.as_tuple()
     km = k * m
     blocks = factor.reshape(km, n, n)
     corner = blocks[-1]
-    ev = np.linalg.svd(corner, compute_uv=False) ** 2  # F's eigenvalues, descending
-    rank = _rank_above_cutoff(ev, n)
-    if rank != n:
-        raise RankMismatch(
-            f"corner block rank {rank} != N = {n}; rotate a full-rank witness first"
-        )
+    _require_full_corner(np.linalg.svd(corner, compute_uv=False) ** 2, n)
     # The blocks side by side, [L_0 .. L_{KM-1}], are solved against L_c at once.
     y = np.linalg.solve(corner, blocks.transpose(1, 0, 2).reshape(n, km * n))
     t = dagger(y.reshape(n, km, n).transpose(1, 0, 2))
@@ -369,24 +365,12 @@ def _extract(
     gens = form.generators()
     bound = (residual + _gram_gap(blocks, blocks - corner @ dagger(t_m))) / norm
     comm = _commutator_max(gens)
-
-    defect = t - t_m  # zero at the generator slots
-    d_norms = np.linalg.norm(defect, axis=(1, 2))
-    e = residual / ev[-1]
-    gram = float(np.linalg.norm((t @ dagger(t)).sum(axis=0)))  # ||T T†||_F = ||T†T||_F
-    r = km - m - 2  # the slot (K-2, M-2)
-    recon = (_gram_gap(dagger(t), dagger(defect)) + e) / (gram - e) if gram > e else np.inf
-    delta = (2 * np.linalg.norm(t[r]) + d_norms[r]) * d_norms[r] + e
-    kernel = e + np.linalg.norm(t) * d_norms[-1]
-    diagnostics = ExtractionDiagnostics(
-        n, n, float(recon), comm, float(delta), float(kernel), float(ev[0] / ev[-1])
-    )
     if bound > tol or comm > tol * _family_scale(gens) ** 2:
         raise StructureViolation(
             f"factor is not in product-monomial form at tol {tol:.1e} "
             f"(reconstruction bound {bound:.3e}, commutator max {comm:.3e})"
         )
-    return form, corner, diagnostics
+    return form, corner, t, t - t_m  # the defect is zero at the generator slots
 
 
 def extract_canonical(
@@ -403,16 +387,42 @@ def extract_canonical(
     state: F = L_c L_c†, and each generator G = W G' W† for the extraction's
     G' and the unitary W = F^{-1/2} L_c, the polar factor U V† of
     L_c = U S V†.  Returns the form together with diagnostics.
+
+    The diagnostics bound the residuals of rho_f = filter_corner(state, f)
+    against the form; each bound holds in any frame, as W is unitary.  There
+    rho - LL† costs at most e = residual / sigma_min(L_c)², and
+    F^{-1/2} L L† F^{-1/2} is T†T, so with the defect D = T - T_m,
+    ||rho_f - T_m†T_m||_F <= e + ||T†T - T_m†T_m||_F, the last term by
+    _gram_gap, and ||rho_f||_F >= ||T T†||_F - e.  A single block of the
+    residual is bounded by (2 ||T_r||_F + ||D_r||_F) ||D_r||_F + e, and, as
+    T_c - I is all that is left of the kernel vectors' images, their
+    residual by e + ||T||_F ||D_c||_F.  The certified residual is about
+    1e-15 for a rank-N state, the rounding term of its certificate, so e
+    grows with F's condition: on generated (3,3,4) states, delta_norm and
+    kernel_residual_max read 1.2e-8 at f_condition 3.2e5, and all three
+    bounds read 3e-8 to 8e-7 at 2.2e7, where the dense residuals are about
+    2e-9.
     """
     admission = _admit(state)
     if not admission.rank_tested:
         _require_rank(state)
-    form, corner, diagnostics = _extract(
+    form, corner, t, defect = _extract(
         admission.factor, state.dims, admission.residual, admission.norm, tol
     )
-    u, _, vh = np.linalg.svd(corner)
+    k, m, n = state.dims.as_tuple()
+    u, sv, vh = np.linalg.svd(corner)
     w = u @ vh
-    back = [w @ g @ dagger(w) for g in form.generators()]
-    a = len(form.a_list)
+    gens = [w @ g @ dagger(w) for g in form.generators()]
     f = hermitize(corner @ dagger(corner))
-    return replace(form, a_list=tuple(back[:a]), b_list=tuple(back[a:]), f=f), diagnostics
+    form = replace(form, a_list=tuple(gens[: m - 1]), b_list=tuple(gens[m - 1 :]), f=f)
+
+    e = admission.residual / sv[-1] ** 2
+    d_norms = np.linalg.norm(defect, axis=(1, 2))
+    gram = float(np.linalg.norm((t @ dagger(t)).sum(axis=0)))  # ||T T†||_F = ||T†T||_F
+    r = k * m - m - 2  # the slot (K-2, M-2)
+    recon = (_gram_gap(dagger(t), dagger(defect)) + e) / (gram - e) if gram > e else np.inf
+    delta = (2 * np.linalg.norm(t[r]) + d_norms[r]) * d_norms[r] + e
+    kernel = e + np.linalg.norm(t) * d_norms[-1]
+    condition = float((sv[0] / sv[-1]) ** 2)
+    comm = _commutator_max(gens)
+    return form, ExtractionDiagnostics(n, n, float(recon), comm, float(delta), float(kernel), condition)

@@ -105,8 +105,11 @@ class SeparableEnsemble:
 
 
 def _offdiag_max(u: np.ndarray, gens: list[np.ndarray]) -> float:
-    rotated = (dagger(u) @ g @ u for g in gens)
-    return max(float(np.linalg.norm(d - np.diag(np.diag(d)))) for d in rotated)
+    worst = 0.0
+    for g in gens:
+        d = dagger(u) @ g @ u
+        worst = max(worst, float(np.linalg.norm(d - np.diag(np.diag(d)))))
+    return worst
 
 
 def _phase_fix(u: np.ndarray) -> np.ndarray:
@@ -114,8 +117,11 @@ def _phase_fix(u: np.ndarray) -> np.ndarray:
 
     u is unitary, so that entry of each column has magnitude at least 1/sqrt(N).
     """
-    piv = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
-    return u * (np.conj(piv) / np.abs(piv))
+    u = u.copy()
+    for c in range(u.shape[1]):
+        piv = u[int(np.argmax(np.abs(u[:, c]))), c]
+        u[:, c] *= np.conj(piv) / abs(piv)
+    return u
 
 
 def simultaneous_diagonalize(
@@ -161,7 +167,10 @@ def simultaneous_diagonalize(
         )
     accept = tol * scale
 
-    parts = [part for g in gens for part in (hermitize(g), (g - dagger(g)) / 2j)]
+    parts: list[np.ndarray] = []
+    for g in gens:
+        parts.append(hermitize(g))
+        parts.append((g - dagger(g)) / 2j)
 
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(11,)))
     best_off = np.inf
@@ -275,6 +284,10 @@ def decompose(
     singular values of L_c (canonical._extract), and the ensemble's C
     vectors are L_c times the common eigenvectors.  The only later stage
     that reads rho is the certificate, verify_ensemble at tol, O((KMN)² N).
+    The one exception is a factor whose pivoting stopped before N columns
+    (rho has an eigenvalue at zero or below within the PPT tolerance): no
+    B B† then has rank N, so the witness is scored on rho's dense sandwiches
+    instead, and a pair found there is refused by the corner rank of item 4.
     Refusals come in this order:
 
     1. RankMismatch: the global rank differs from N (the construction does
@@ -303,7 +316,7 @@ def decompose(
             raise NoWitness("no product witness with a full-rank sandwich block was found")
         u_a, u_b = _completion_unitary(w.e_a, k), _completion_unitary(w.f_b, m)
         rotated = np.kron(u_a, u_b) @ admission.factor.reshape(k * m, n * n)
-        form, corner, _ = _extract(rotated, state.dims, admission.residual, admission.norm, tol)
+        form, corner, *_ = _extract(rotated, state.dims, admission.residual, admission.norm, tol)
         ensemble = _ensemble(replace(form, local_u_a=u_a, local_u_b=u_b), corner, tol, seed)
         # The public check gives the verdict; the failed invariants are listed
         # again only on the refusal path, for the message.

@@ -219,7 +219,7 @@ def sandwich_ab(state: TripartiteState, e_a: np.ndarray, f_b: np.ndarray) -> np.
     normalized; a PSD input state yields a PSD sandwich.
     """
     e_a, f_b = _unit_pair(state.dims, e_a, f_b)
-    return _sandwiches(state, e_a[None], f_b[None])[0]
+    return _sandwiches(state, np.kron(e_a, f_b)[None])[0]
 
 
 def _unit_pair(dims: TripartiteDims, e_a, f_b) -> tuple[np.ndarray, np.ndarray]:
@@ -243,19 +243,17 @@ def _unit_pair(dims: TripartiteDims, e_a, f_b) -> tuple[np.ndarray, np.ndarray]:
 SANDWICH_CHUNK_BYTES = 1 << 20
 
 
-def _sandwiches(state: TripartiteState, ea_stack: np.ndarray, fb_stack: np.ndarray) -> np.ndarray:
-    """The (P, N, N) stack of sandwiches <e_a f_b| rho |e_a f_b>, one per row pair.
+def _sandwiches(state: TripartiteState, w: np.ndarray) -> np.ndarray:
+    """The (P, N, N) stack of sandwiches <w| rho |w>, one per row of w.
 
-    The rows of ea_stack (P, K) and fb_stack (P, M) are taken as they are, unit
-    vectors by the caller's construction.  With W the (P, KM) stack of product
-    vectors e_a (x) f_b, one GEMM conj(W) @ rho.reshape(KM, -1) sums the
-    row-side (A, B) index and one batched product with W the column-side one.
-    Candidates run in chunks of at most SANDWICH_CHUNK_BYTES of GEMM output,
-    or one at a time where a single candidate's output is larger.
+    The rows of w (P, KM) are product vectors e_a (x) f_b, taken as they are,
+    unit vectors by the caller's construction.  One GEMM
+    conj(w) @ rho.reshape(KM, -1) sums the row-side (A, B) index and one
+    batched product with w the column-side one.  Candidates run in chunks of
+    at most SANDWICH_CHUNK_BYTES of GEMM output, or one at a time where a
+    single candidate's output is larger.
     """
-    k, m, n = state.dims.as_tuple()
-    km = k * m
-    w = (ea_stack[:, :, None] * fb_stack[:, None, :]).reshape(-1, km)
+    n, km = state.dims.n, w.shape[1]
     flat = state.rho.reshape(km, -1)
     chunk = max(1, SANDWICH_CHUNK_BYTES // (flat.itemsize * n * km * n))
     out = np.empty((len(w), n, n), dtype=complex)
@@ -314,8 +312,10 @@ def _rank_above_cutoff(sv: np.ndarray, order: int) -> int | np.ndarray:
     The one rank rule of the package: numeric_rank applies it to an SVD, the
     witness search to a stack of sandwich spectra (one count per row), the
     rank test of the state to its |eigenvalues|, which are its singular
-    values, and canonical.filter_corner to the signed spectrum of the corner
-    block F, so that a negative eigenvalue counts as missing rank.
+    values, canonical._extract to F's eigenvalues, the squared singular
+    values of the factor's corner block L_c, and canonical.filter_corner to
+    the signed spectrum of a given F, so that a negative eigenvalue counts
+    as missing rank.
     """
     if sv.size == 0:
         return 0

@@ -168,7 +168,7 @@ def _admit(state: TripartiteState) -> Admission:
     own certificate, whose N pivot steps give the returned factor.
     """
     tol = _default_tol(state)
-    norm_f = float(np.sqrt(np.vdot(state.rho, state.rho).real))  # see _psd_verdict
+    norm_f = float(np.linalg.norm(state.rho))
     n = state.dims.n
     passed = []
     spectrum = None
@@ -244,10 +244,7 @@ def _psd_verdict(
       adds at most u |S_ij|.  So ||x - LL†||_F <= (1 + u) ||S||_F +
       gamma_{k+1} ||L||_F², by submultiplicativity of the Frobenius norm.
       Each computed norm sums at most 2 d² squares and takes a root, within
-      a relative gamma_{d²+3} of its value (for a d x d matrix the norm is
-      sqrt(Re <x, x>), one complex dot whose terms conj(z) z have the real
-      part re² + im²: the same squares, without np.linalg.norm's copies of
-      the real and imaginary parts), so dividing by (1 - gamma_{d²+3})²
+      a relative gamma_{d²+3} of its value, so dividing by (1 - gamma_{d²+3})²
       covers both norms and the few roundings of the bound itself.  If that
       bound plus beta is <= tol, eigvalsh could not read below -tol: True.
       The bound has no d² factor: about 1e-15 for a rank-N state, against
@@ -293,7 +290,7 @@ def _psd_verdict(
     s = used @ used.conj().T
     np.subtract(x, s, out=s)
     bound = (
-        (1 + eps) * np.sqrt(np.vdot(s, s).real) + gamma(len(pivots) + 1) * np.linalg.norm(used) ** 2
+        (1 + eps) * np.linalg.norm(s) + gamma(len(pivots) + 1) * np.linalg.norm(used) ** 2
     ) / (1 - gamma(d * d + 3)) ** 2
     beta_x = beta(x, norm_f)
     if bound + beta_x <= tol:

@@ -87,7 +87,6 @@ class TestCheckPpt:
         assert captured.out == ""
         assert "too small to normalize away" in captured.err
 
-
     @pytest.mark.filterwarnings("error")  # the overflowing sum is refused without a warning
     def test_trace_that_overflows_exits_two(self, capsys, tmp_path):
         """--allow-unnormalized on diagonal entries of 1e308 names the infinite trace."""
@@ -150,7 +149,7 @@ class TestDecompose:
         save_state(corner_only_state(0.5 + excess), p)
         code, doc = run(capsys, "decompose", str(p))
         assert code == 3
-        assert doc["error"] == "NoWitness"
+        assert doc["error"] == "RankMismatch"
 
     def test_explicit_witness_requires_both_vectors(self, capsys, ppt_state_file):
         code, doc = run(

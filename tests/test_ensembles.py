@@ -268,12 +268,14 @@ class TestDecomposeExamples:
 
     @pytest.mark.parametrize("excess", [1e-12, 2e-10])
     @pytest.mark.parametrize("mode", ["search", "corner"])
-    def test_corner_block_with_a_negative_eigenvalue_has_no_witness(
+    def test_corner_block_with_a_negative_eigenvalue_is_a_rank_refusal(
         self, corner_only_state, excess, mode
     ):
-        """F's eigenvalue -excess lies inside the PPT tolerance, so the state is admitted,
-        but rho's N-pivot factor stops after one pivot: every B B† has rank 1."""
-        with pytest.raises(NoWitness):
+        """F's eigenvalue -excess counts as missing rank, on either side of PSD_CLIP.
+
+        rho's factor stops after one pivot, so no B B† has rank N; the witness
+        is then found on rho's dense sandwiches, and L_c has rank 1."""
+        with pytest.raises(RankMismatch, match=r"^corner block rank 1 != N = 2; rotate"):
             decompose(corner_only_state(0.5 + excess), witness=mode)
 
     def test_nan_explicit_witness_is_a_typed_refusal(self):

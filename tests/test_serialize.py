@@ -96,7 +96,6 @@ class TestStateRoundTrip:
         with pytest.raises(ValueError, match=rf"trace {re.escape(shown)} too small to normalize"):
             load_state(p, allow_unnormalized=True)
 
-
     @pytest.mark.filterwarnings("error")  # the overflowing sum is refused without a warning
     def test_trace_that_overflows_is_refused(self, tmp_path):
         """Diagonal entries of 1e308 sum to an infinite trace, which is named, not divided by."""
