@@ -76,27 +76,37 @@ class CanonicalForm:
     local_u_b: np.ndarray
 
     def __post_init__(self):
-        if len(self.a_list) != self.dims.m - 1 or len(self.b_list) != self.dims.k - 1:
+        k, m, n = self.dims.as_tuple()
+        if len(self.a_list) != m - 1 or len(self.b_list) != k - 1:
             raise DimensionMismatch(
-                f"need {self.dims.m - 1} A-side and {self.dims.k - 1} B-side generators, "
+                f"need {m - 1} A-side and {k - 1} B-side generators, "
                 f"got {len(self.a_list)} and {len(self.b_list)}"
             )
+        # A wrongly sized matrix would otherwise surface later, as numpy's own error.
+        named = [("generator", g, n) for g in self.generators()] + [("f", self.f, n)]
+        named += [("local_u_a", self.local_u_a, k), ("local_u_b", self.local_u_b, m)]
+        for name, x, side in named:
+            if (shape := np.shape(x)) != (side, side):
+                raise DimensionMismatch(f"{name} has shape {shape}, expected ({side}, {side})")
 
     def generators(self) -> list[np.ndarray]:
         """All non-identity generators, A-side first."""
         return list(self.a_list) + list(self.b_list)
 
-    def monomial(self, u: int, v: int) -> np.ndarray:
-        """The block factor GB_u · GA_v at grid position (u, v)."""
+    def monomials(self) -> np.ndarray:
+        """The (KM, N, N) stack of T_{(u,v)} = GB_u · GA_v at row u * M + v.
+
+        One broadcast product of the two families, each closed by its identity.
+        """
         n = self.dims.n
-        ga = self.a_list[v] if v < self.dims.m - 1 else np.eye(n, dtype=complex)
-        gb = self.b_list[u] if u < self.dims.k - 1 else np.eye(n, dtype=complex)
-        return gb @ ga
+        eye = np.eye(n, dtype=complex)
+        ga = np.stack([*self.a_list, eye])
+        gb = np.stack([*self.b_list, eye])
+        return (gb[:, None] @ ga[None]).reshape(-1, n, n)
 
     def t_matrix(self) -> np.ndarray:
-        """The N x (KMN) block row [T_0 ... T_{KM-1}] with T_{(u,v)} = GB_u GA_v."""
-        blocks = [self.monomial(u, v) for u in range(self.dims.k) for v in range(self.dims.m)]
-        return np.hstack(blocks)
+        """The N x (KMN) block row [T_0 ... T_{KM-1}] of the monomials side by side."""
+        return np.hstack(self.monomials())
 
 
 @dataclass(frozen=True)
@@ -356,12 +366,12 @@ def _extract(
     y = np.linalg.solve(corner, blocks.transpose(1, 0, 2).reshape(n, km * n))
     t = dagger(y.reshape(n, km, n).transpose(1, 0, 2))
     grid = t.reshape(k, m, n, n)
-    eye = np.eye(n)[None]
-    ga = np.concatenate([grid[-1, :-1], eye])
-    gb = np.concatenate([grid[:-1, -1], eye])
-    t_m = (gb[:, None] @ ga[None]).reshape(km, n, n)
+    # GA_v and GB_u, copied out of the strided stack so that each generator is
+    # C-contiguous and every later product of it takes the same matmul path.
+    families = (tuple(grid[-1, :-1].copy()), tuple(grid[:-1, -1].copy()))
     local = (np.eye(k, dtype=complex), np.eye(m, dtype=complex))
-    form = CanonicalForm(dims, tuple(ga[:-1]), tuple(gb[:-1]), dagger(corner) @ corner, *local)
+    form = CanonicalForm(dims, *families, dagger(corner) @ corner, *local)
+    t_m = form.monomials()
     gens = form.generators()
     bound = (residual + _gram_gap(blocks, blocks - corner @ dagger(t_m))) / norm
     comm = _commutator_max(gens)

@@ -89,7 +89,8 @@ def _sample_count(text: str) -> int:
 
 
 # Upper bound of K*M*N for generate.  A state is one KMN x KMN complex matrix,
-# and generating one holds a few at once: at this bound each is 256 MiB.
+# 256 MiB at this bound, and generating a canonical one peaks at four such
+# matrices (tracemalloc at K*M*N = 2048).
 MAX_STATE_SIDE = 4096
 
 

@@ -87,20 +87,19 @@ def assemble_canonical_state(
 ) -> tuple[TripartiteState, CanonicalForm]:
     """Build the state carried by explicit canonical data and normalize its trace.
 
+    The state is the Gram matrix (I (x) I (x) F^{1/2}) T†T (I (x) I (x) F^{1/2})
+    of the monomial row T, that is LL† for the d x N factor L whose N x N row
+    blocks are F^{1/2} T_r†.  It is formed as that one product, so rho is the
+    only KMN x KMN matrix built and the work is O(d² N) for d = KMN.
+
     Returns the state together with its ground-truth form; the filter in the
     form is rescaled by the normalization (the generators are untouched).
     """
-    form = CanonicalForm(
-        dims=dims,
-        a_list=tuple(np.asarray(g, dtype=complex) for g in a_list),
-        b_list=tuple(np.asarray(g, dtype=complex) for g in b_list),
-        f=hermitize(np.asarray(f, dtype=complex)),
-        local_u_a=np.eye(dims.k, dtype=complex),
-        local_u_b=np.eye(dims.m, dtype=complex),
-    )
-    t = form.t_matrix()
-    lift = np.kron(np.eye(dims.k * dims.m, dtype=complex), psd_sqrt(form.f))
-    rho = hermitize(lift @ (dagger(t) @ t) @ lift)
+    families = (tuple(np.asarray(g, dtype=complex) for g in gens) for gens in (a_list, b_list))
+    local = (np.eye(dims.k, dtype=complex), np.eye(dims.m, dtype=complex))
+    form = CanonicalForm(dims, *families, hermitize(np.asarray(f, dtype=complex)), *local)
+    factor = (psd_sqrt(form.f) @ dagger(form.monomials())).reshape(dims.total, dims.n)
+    rho = hermitize(factor @ dagger(factor))
     tr = float(rho.trace().real)
     return TripartiteState(dims, rho / tr), replace(form, f=form.f / tr)
 

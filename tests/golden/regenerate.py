@@ -9,8 +9,9 @@ or, to compare without writing here (exit 1 names each file that drifted):
     python3 tests/golden/regenerate.py --check
 
 The files are committed so the test suite can assert that load followed by
-save reproduces them byte for byte; regenerate only when the on-disk format
-itself is meant to change.
+save reproduces them byte for byte.  Regenerate only when the on-disk format
+itself is meant to change, or when a change to the generators' arithmetic is
+meant to move the generated states' last bits; log either in CHANGES.md.
 """
 
 import argparse

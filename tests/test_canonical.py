@@ -524,7 +524,7 @@ class TestTMatrixLayout:
         for u in range(3):
             for v in range(3):
                 got = rho_f[8 * n : 9 * n, (u * 3 + v) * n : (u * 3 + v + 1) * n]
-                np.testing.assert_allclose(got, truth.monomial(u, v), atol=1e-12)
+                np.testing.assert_allclose(got, truth.monomials()[u * 3 + v], atol=1e-12)
 
     def test_t_matrix_shape_and_identity_tail(self):
         dims = TripartiteDims(3, 4, 2)
@@ -537,6 +537,41 @@ class TestTMatrixLayout:
 def _qubit_form(a_count):
     eye = np.eye(2, dtype=complex)
     return CanonicalForm(TripartiteDims(2, 2, 2), (eye,) * a_count, (eye,), eye, eye, eye)
+
+
+def _form_234(**fields):
+    """A CanonicalForm for dims (2, 3, 4), with identities for every matrix but those given."""
+    eye = np.eye(4, dtype=complex)
+    fields = {
+        "a_list": (eye, eye),
+        "b_list": (eye,),
+        "f": eye,
+        "local_u_a": np.eye(2),
+        "local_u_b": np.eye(3),
+        **fields,
+    }
+    return CanonicalForm(TripartiteDims(2, 3, 4), **fields)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("a_list", (np.eye(4), np.eye(8)), r"generator has shape \(8, 8\), expected \(4, 4\)"),
+        ("b_list", (np.eye(4)[:, :2],), r"generator has shape \(4, 2\), expected \(4, 4\)"),
+        ("f", np.eye(2), r"f has shape \(2, 2\), expected \(4, 4\)"),
+        ("local_u_a", np.eye(3), r"local_u_a has shape \(3, 3\), expected \(2, 2\)"),
+        ("local_u_b", np.ones(3), r"local_u_b has shape \(3,\), expected \(3, 3\)"),
+    ],
+)
+def test_form_matrix_of_the_wrong_shape_is_rejected(field, value, message):
+    """Every generator and f are N x N, local_u_a K x K and local_u_b M x M.
+
+    An 8 x 8 generator for N = 4 would otherwise surface only later, as
+    numpy's own error inside monomials() or a product.
+    """
+    assert _form_234().monomials().shape == (6, 4, 4)
+    with pytest.raises(DimensionMismatch, match=message):
+        _form_234(**{field: value})
 
 
 @pytest.mark.parametrize(

@@ -25,6 +25,8 @@ from pptsep import (
     block,
     conjugate_local,
     decompose,
+    ensemble_from_form,
+    extract_canonical,
     find_witness,
     gen_canonical_state,
     gen_commuting_family,
@@ -266,7 +268,7 @@ class TestDecomposeExamples:
         assert on_f == {}
         assert square["svd"] == 1
 
-    @pytest.mark.parametrize("excess", [1e-12, 2e-10])
+    @pytest.mark.parametrize("excess", [1e-12, 2e-10, 5e-10])
     @pytest.mark.parametrize("mode", ["search", "corner"])
     def test_corner_block_with_a_negative_eigenvalue_is_a_rank_refusal(
         self, corner_only_state, excess, mode
@@ -274,7 +276,9 @@ class TestDecomposeExamples:
         """F's eigenvalue -excess counts as missing rank, on either side of PSD_CLIP.
 
         rho's factor stops after one pivot, so no B B† has rank N; the witness
-        is then found on rho's dense sandwiches, and L_c has rank 1."""
+        is then found on rho's dense sandwiches, and L_c has rank 1.  At 5e-10
+        rho's certificate cannot decide, so the state is admitted only after
+        the rank test, and is refused the same way."""
         with pytest.raises(RankMismatch, match=r"^corner block rank 1 != N = 2; rotate"):
             decompose(corner_only_state(0.5 + excess), witness=mode)
 
@@ -447,6 +451,14 @@ class TestDecomposeRandomStates:
         assert ens.total_weight() == pytest.approx(1.0, abs=1e-10)
         assert len(ens.terms) == dims[2]
 
+    def test_ensemble_from_form_certifies_the_extracted_form(self):
+        """ensemble_from_form, public, on extract_canonical's form in the state's own frame."""
+        state, _ = gen_canonical_state(GenSpec(dims=TripartiteDims(3, 3, 4), seed=3))
+        ens = ensemble_from_form(extract_canonical(state)[0])
+        assert len(ens.terms) == 4
+        residual, ok = verify_ensemble(state, ens)
+        assert ok and residual < 1e-8
+
     def test_reconstruction_is_ppt(self):
         """The reconstructed mixture is itself a valid PPT state."""
         state, _ = gen_canonical_state(GenSpec(dims=TripartiteDims(3, 3, 2), seed=3))
@@ -548,24 +560,20 @@ class TestVerifyEnsemble:
 
     def test_failure_names_only_the_broken_invariants(self, monkeypatch):
         """Weights scaled by 1 + 1e-9 keep the residual inside tol; it must not be blamed."""
-        real = ensembles.ensemble_from_form
+        real = ensembles._ensemble
 
-        def skewed(form, tol=1e-8, seed=0):
-            ens = real(form, tol=tol, seed=seed)
+        def skewed(form, corner, tol, seed):
+            ens = real(form, corner, tol, seed)
             return replace(ens, terms=tuple(replace(t, p=t.p * (1 + 1e-9)) for t in ens.terms))
 
-        monkeypatch.setattr(ensembles, "ensemble_from_form", skewed)
+        monkeypatch.setattr(ensembles, "_ensemble", skewed)
         state, _ = gen_canonical_state(GenSpec(dims=TripartiteDims(3, 3, 4), seed=1))
-        try:
-            ens = decompose(state)
-        except CertificationFailure as err:
-            message = str(err)
-            assert "residual" not in message
-            assert "|sum p - 1|" in message and "TRACE_TOL" in message
-            assert "min p" not in message and "vector-norm" not in message
-        else:
-            residual, ok = verify_ensemble(state, ens)
-            assert ok and residual <= 1e-8
+        with pytest.raises(CertificationFailure) as err:
+            decompose(state)
+        message = str(err.value)
+        assert "residual" not in message
+        assert "|sum p - 1|" in message and "TRACE_TOL" in message
+        assert "min p" not in message and "vector-norm" not in message
 
     def test_reconstruct_matches_per_term_sum(self):
         state, _ = gen_canonical_state(GenSpec(dims=TripartiteDims(2, 3, 5), seed=12))

@@ -21,6 +21,7 @@ from pptsep import (
     numeric_rank,
     partial_transpose,
     ppt_report,
+    psd_sqrt,
     qubit_corner_state,
     shifts_complement_state,
     shifts_product_vectors,
@@ -77,6 +78,20 @@ class TestAssemble:
 
 
 class TestCanonicalGenerator:
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3, 4), (4, 4, 8)])
+    def test_factor_form_matches_the_dense_lift(self, dims, seed):
+        """rho = LL† equals the lift formula (I (x) F^{1/2}) T†T (I (x) F^{1/2}) / trace,
+        with T built pair by pair, to 1e-14 of ||rho||_F."""
+        k, m, n = dims
+        state, truth = gen_canonical_state(GenSpec(dims=TripartiteDims(*dims), seed=seed))
+        eye = np.eye(n, dtype=complex)
+        t = np.hstack([gb @ ga for gb in [*truth.b_list, eye] for ga in [*truth.a_list, eye]])
+        lift = np.kron(np.eye(k * m), psd_sqrt(truth.f))
+        dense = lift @ t.conj().T @ t @ lift
+        dense /= dense.trace().real
+        assert np.linalg.norm(state.rho - dense) <= 1e-14 * np.linalg.norm(state.rho)
+
     @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3, 4), (4, 4, 3)])
     def test_generated_states_satisfy_the_hypotheses(self, dims):
         state, _ = gen_canonical_state(GenSpec(dims=TripartiteDims(*dims), seed=5))

@@ -506,6 +506,12 @@ def test_large_rank_n_state_is_admitted_without_a_full_eigvalsh(monkeypatch):
     assert counts == {"certified": 4}
 
 
+def test_state_the_certificate_cannot_decide_is_admitted_after_the_rank_test(corner_only_state):
+    """At a = 1/2 + 5e-10 rho's N-pivot certificate bound (1e-9) cannot decide;
+    the spectrum gives rank N = 2 and every mask passes."""
+    assert _admit(corner_only_state(0.5 + 5e-10)).rank_tested is True
+
+
 @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
 def test_full_rank_refusal_decomposes_only_the_state(monkeypatch, p):
     """A full-rank noise mixture is refused by RankMismatch from the state's one spectrum.

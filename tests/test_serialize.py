@@ -15,6 +15,7 @@ from hypothesis.extra import numpy as hnp
 
 from pptsep import (
     CanonicalForm,
+    DimensionMismatch,
     EnsembleTerm,
     GenSpec,
     NormalizationError,
@@ -82,7 +83,9 @@ class TestStateRoundTrip:
         with pytest.raises(NormalizationError):
             load_state(p)
         rescued = load_state(p, allow_unnormalized=True)
-        np.testing.assert_array_equal(rescued.rho, state.rho)
+        # load_state divides by the real trace: 2 rho / tr(2 rho) is rho / tr(rho) exactly.
+        expected = TripartiteState(state.dims, state.rho / state.rho.trace().real).rho
+        np.testing.assert_array_equal(rescued.rho, expected)
 
     @pytest.mark.filterwarnings("error")  # no division by a zero real part
     @pytest.mark.parametrize(
@@ -142,6 +145,17 @@ class TestFormRoundTrip:
         for got, want in zip(loaded.a_list + loaded.b_list, form.a_list + form.b_list):
             np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(loaded.local_u_a, form.local_u_a)
+
+    def test_generator_of_the_wrong_shape_is_rejected(self, state, tmp_path):
+        """A 4 x 4 generator for N = 2 fails at load, not later inside numpy."""
+        p = tmp_path / "form.json"
+        save_canonical_form(extract_canonical(state)[0], p)
+        doc = json.loads(p.read_text())
+        doc["a_list"][0] = [[[float(i == j), 0.0] for j in range(4)] for i in range(4)]
+        p.write_text(json.dumps(doc))
+        message = r"generator has shape \(4, 4\), expected \(2, 2\)"
+        with pytest.raises(DimensionMismatch, match=message):
+            load_canonical_form(p)
 
 
 class TestValidation:
@@ -396,16 +410,21 @@ class TestStreamingWriter:
         assert path.read_bytes() == json_dumps_bytes(expected)
 
     @WRITER
-    @given(mats=st.lists(complex_arrays(2), min_size=5, max_size=5))
-    @example(mats=[interleaved(SPECIAL + NON_FINITE).reshape(3, 6)] * 5)
-    def test_canonical_form_file(self, tmp_path, mats):
-        form = CanonicalForm(TripartiteDims(2, 2, 1), (mats[0],), (mats[1],), *mats[2:])
+    @given(
+        n=st.integers(1, 4),
+        values=hnp.arrays(complex, (5, 4, 4), elements=st.builds(complex, ANY_FLOAT, ANY_FLOAT)),
+    )
+    @example(n=4, values=np.resize(interleaved(SPECIAL + NON_FINITE), (5, 4, 4)))
+    def test_canonical_form_file(self, tmp_path, n, values):
+        """Matrices of the shapes a (2, 2, N) form needs: N x N, then two 2 x 2."""
+        mats = [v[:n, :n] for v in values[:3]] + [v[:2, :2] for v in values[3:]]
+        form = CanonicalForm(TripartiteDims(2, 2, n), (mats[0],), (mats[1],), *mats[2:])
         path = tmp_path / "form.json"
         save_canonical_form(form, path)
         expected = {
             "schema_version": "1",
             "kind": "canonical_form",
-            "dims": [2, 2, 1],
+            "dims": [2, 2, n],
             "a_list": [pairs(mats[0])],
             "b_list": [pairs(mats[1])],
             "f": pairs(mats[2]),
